@@ -11,17 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (
-    as_matrix,
-    condition_number,
-    invert,
-    permutation_matrix,
-    spectral_norm,
-)
+from .kernel import as_matrix, condition_number, invert, permutation_matrix
 
 PAIR_TOL = 1e-9
+# Largest accepted SearchBudget.exact_cutoff: exact enumeration of N indices
+# evaluates 2^N subsets.
+MAX_EXACT_CUTOFF = 20
 
-# Subset-search batch size for vectorized SVD evaluation.
+# Number of masks evaluated per vectorized kernel call.
 _BATCH = 2048
 
 
@@ -73,6 +70,11 @@ class SearchBudget:
     samples: int = 20000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.exact_cutoff > MAX_EXACT_CUTOFF:
+            raise ValueError(f"exact cutoff {self.exact_cutoff} exceeds the limit "
+                             f"{MAX_EXACT_CUTOFF} (exact enumeration evaluates 2^N subsets)")
+
 
 @dataclass(frozen=True)
 class RieszReport:
@@ -108,40 +110,78 @@ def natural_projection(pair, indices):
 
 
 def _masked_norms(f, gstar, masks):
-    """Spectral norms of F diag(mask) G* for a (batch, n) stack of 0/1 masks."""
-    qs = (f[None, :, :] * masks[:, None, :]) @ gstar
-    return np.linalg.svd(qs, compute_uv=False)[:, 0]
+    """Spectral norms of F diag(mask) G* for a (batch, n) stack of 0/1 masks.
 
+    With Gf = F^T F, Gg = G* G*^T and D the support of a mask,
+    ||F P_D G*||^2 = lambda_max(C^T Gg[D,D] C) for the Cholesky factor
+    C C^T = Gf[D,D], so each norm costs a |D| x |D| symmetric eigenvalue
+    problem instead of an n x n SVD. Masks are grouped by |D|; a group whose
+    Gf[D,D] is not numerically positive definite falls back to the SVD.
 
-def _norms_chunked(f, gstar, masks):
-    out = np.empty(masks.shape[0])
-    for start in range(0, masks.shape[0], _BATCH):
-        chunk = masks[start:start + _BATCH]
-        out[start:start + chunk.shape[0]] = _masked_norms(f, gstar, chunk)
+    The relative rounding error is about eps * (s / ||F P_D G*||)^2 with
+    s = max_i ||f_i|| ||g_i||, the square of the SVD's factor. The maxima the
+    searches look for are at least s / 2, and there both agree to a few ulps;
+    small norms of an ill-conditioned pair can be far less accurate, so
+    reported values are recomputed by SVD (see _attained).
+    """
+    gf = f.T @ f
+    gg = gstar @ gstar.T
+    sizes = np.count_nonzero(masks, axis=1)
+    out = np.zeros(masks.shape[0])
+    for d in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == d)
+        idx = np.nonzero(masks[rows])[1].reshape(rows.size, d)
+        block = (idx[:, :, None], idx[:, None, :])
+        try:
+            c = np.linalg.cholesky(gf[block])
+        except np.linalg.LinAlgError:
+            out[rows] = [_attained(f, gstar, mask) for mask in masks[rows]]
+            continue
+        m = np.swapaxes(c, 1, 2) @ gg[block] @ c
+        out[rows] = np.sqrt(np.linalg.eigvalsh(m)[:, -1])
     return out
 
 
-def _mask_to_witness(mask):
-    return tuple(int(i + 1) for i in np.flatnonzero(mask))
+def _best_mask(f, gstar, batches):
+    """(kernel norm, mask) of the first largest norm in an iterable of mask stacks."""
+    best_value, best_mask = -np.inf, None
+    for masks in batches:
+        norms = _masked_norms(f, gstar, masks)
+        i = int(np.argmax(norms))
+        if norms[i] > best_value:
+            best_value, best_mask = float(norms[i]), masks[i]
+    return best_value, best_mask
+
+
+def _attained(f, gstar, mask):
+    """||F diag(mask) G*||, recomputed by one SVD of the formed projection."""
+    return float(np.linalg.norm((f * mask) @ gstar, 2))
+
+
+def _batches(masks):
+    return (masks[start:start + _BATCH] for start in range(0, masks.shape[0], _BATCH))
+
+
+def _subset_batches(n):
+    """Masks of all 2^n subsets (bit i of the code selects index i+1), built
+    _BATCH at a time so that memory stays bounded."""
+    bits = np.arange(n)
+    for start in range(0, 2 ** n, _BATCH):
+        codes = np.arange(start, min(start + _BATCH, 2 ** n))
+        yield ((codes[:, None] >> bits) & 1).astype(float)
+
+
+def _estimate(f, gstar, mask, mode, evaluations):
+    """The report of a search's best mask: its SVD norm and 1-based witness."""
+    witness = tuple(int(i + 1) for i in np.flatnonzero(mask))
+    return ConstantEstimate(_attained(f, gstar, mask), mode, witness, evaluations)
 
 
 def basis_constant(pair):
     """Exact maximum of ||F P_n G*|| over prefixes n = 1..N."""
     n = pair.size
-    masks = np.tril(np.ones((n, n)))
-    norms = _norms_chunked(pair.f, pair.gstar, masks)
-    best = int(np.argmax(norms))
-    return ConstantEstimate(
-        value=float(norms[best]),
-        mode="Exact",
-        witness=tuple(range(1, best + 2)),
-        evaluations=n,
-    )
-
-
-def _all_subset_masks(n):
-    codes = np.arange(2 ** n, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
+    _, mask = _best_mask(pair.f, pair.gstar, _batches(np.tril(np.ones((n, n)))))
+    return _estimate(pair.f, pair.gstar, mask, "Exact", n)
 
 
 def unconditional_constant(pair, budget=SearchBudget()):
@@ -149,30 +189,20 @@ def unconditional_constant(pair, budget=SearchBudget()):
 
     Exhaustive (mode Exact) for N <= budget.exact_cutoff; otherwise a seeded
     lower-bound search over prefixes, random subsets and greedy single-index
-    flips (mode LowerBoundWitness).
+    flips (mode LowerBoundWitness). The search compares kernel norms; the
+    reported value is the winning witness's norm recomputed by SVD.
     """
     n = pair.size
     f, gstar = pair.f, pair.gstar
     if n <= budget.exact_cutoff:
-        masks = _all_subset_masks(n)
-        norms = _norms_chunked(f, gstar, masks)
-        best = int(np.argmax(norms))
-        return ConstantEstimate(
-            value=float(norms[best]),
-            mode="Exact",
-            witness=_mask_to_witness(masks[best]),
-            evaluations=masks.shape[0],
-        )
+        _, mask = _best_mask(f, gstar, _subset_batches(n))
+        return _estimate(f, gstar, mask, "Exact", 2 ** n)
 
     rng = np.random.default_rng(budget.seed)
-    prefixes = np.tril(np.ones((n, n)))
     sampled = rng.integers(0, 2, size=(budget.samples, n)).astype(float)
-    masks = np.vstack([prefixes, sampled])
-    norms = _norms_chunked(f, gstar, masks)
+    masks = np.vstack([np.tril(np.ones((n, n))), sampled])
+    best_value, best_mask = _best_mask(f, gstar, _batches(masks))
     evaluations = masks.shape[0]
-    best = int(np.argmax(norms))
-    best_mask = masks[best].copy()
-    best_value = float(norms[best])
 
     while True:
         flips = np.repeat(best_mask[None, :], n, axis=0)
@@ -186,22 +216,12 @@ def unconditional_constant(pair, budget=SearchBudget()):
         best_value = float(flip_norms[cand])
         best_mask = flips[cand]
 
-    return ConstantEstimate(
-        value=best_value,
-        mode="LowerBoundWitness",
-        witness=_mask_to_witness(best_mask),
-        evaluations=evaluations,
-    )
+    return _estimate(f, gstar, best_mask, "LowerBoundWitness", evaluations)
 
 
 def dual_basis_constant(pair):
     """Exact maximum over prefixes of ||G P_n F^T|| with G = Gstar^T."""
-    g = pair.gstar.T
-    fstar = pair.f.T
-    n = pair.size
-    masks = np.tril(np.ones((n, n)))
-    norms = _norms_chunked(g, fstar, masks)
-    return float(np.max(norms))
+    return basis_constant(BasisPair(f=pair.gstar.T, gstar=pair.f.T)).value
 
 
 def quasinormality_bounds(f):

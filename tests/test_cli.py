@@ -173,6 +173,16 @@ def test_malformed_matrix_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_exact_cutoff_above_limit_exit_code(tmp_path, capsys):
+    mat = tmp_path / "id4.mtx"
+    save_matrix(mat, np.eye(4))
+    code = main(["constants", "--matrix", str(mat), "--exact-cutoff", "64"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "exact cutoff 64 exceeds the limit" in captured.err
+
+
 def test_unknown_command_exit_code(capsys):
     assert main(["no-such-command"]) == 1
 

@@ -53,17 +53,33 @@ class TestSpectralNorm:
             assert spectral_norm(x @ y) <= spectral_norm(x) * spectral_norm(y) + 1e-9
 
     def test_power_iteration_path(self):
-        # above 512 the norm comes from power iteration; compare against a
-        # known diagonal
+        # a large diagonal takes the diagonal fast path; compare against its
+        # known norm
         d = np.ones(520)
         d[0] = 2.0
         assert spectral_norm(np.diag(d)) == pytest.approx(2.0, rel=1e-10)
 
     def test_power_iteration_dense(self):
+        # a large dense matrix goes through the full SVD
         rng = np.random.default_rng(9)
         m = rng.standard_normal((530, 530))
         exact = float(np.linalg.svd(m, compute_uv=False)[0])
         assert spectral_norm(m) == pytest.approx(exact, rel=1e-8)
+
+    def test_large_rank_one_update(self):
+        # I + 10 u u^T with u = (e1 - e2)/sqrt(2): u is orthogonal to the
+        # all-ones vector, so a power iteration started there returns 1
+        n = 600
+        u = np.zeros(n)
+        u[:2] = [1.0, -1.0]
+        u /= math.sqrt(2.0)
+        m = np.eye(n) + 10.0 * np.outer(u, u)
+        assert spectral_norm(m) == pytest.approx(11.0, rel=1e-12)
+
+    def test_off_diagonal_entries_are_seen(self):
+        # zero diagonal entries must not hide off-diagonal ones
+        assert spectral_norm(np.array([[0.0, 3.0], [0.0, 0.0]])) == pytest.approx(3.0)
+        assert spectral_norm(np.diag([0.0, -2.0])) == 2.0
 
 
 class TestInvert:

@@ -11,6 +11,7 @@ from schaudermat import (
     basis_constant,
     biorthogonal_inverse,
     condition_number,
+    direct_sum,
     dual_basis_constant,
     haar_matrix,
     natural_projection,
@@ -23,6 +24,7 @@ from schaudermat import (
     transform_right_permutation,
     unconditional_constant,
 )
+from schaudermat.schauder import MAX_EXACT_CUTOFF, _masked_norms, _subset_batches
 
 
 def brute_unconditional(pair):
@@ -339,3 +341,134 @@ class TestTransforms:
         assert unconditional_constant(out).value == pytest.approx(
             unconditional_constant(pair).value, abs=1e-9
         )
+
+
+def svd_reference(f, gstar, masks):
+    """||F diag(mask) G*|| for each mask, by one numpy SVD each."""
+    return np.array([np.linalg.norm((f * m) @ gstar, 2) for m in masks])
+
+
+def all_subset_masks(n):
+    return np.array(list(itertools.product([0.0, 1.0], repeat=n)))
+
+
+def assert_kernel_matches(f, gstar, masks):
+    got = _masked_norms(f, gstar, masks)
+    want = svd_reference(f, gstar, masks)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def rotated(rng, pair):
+    q, _ = np.linalg.qr(rng.standard_normal((pair.size, pair.size)))
+    return BasisPair(f=q @ pair.f, gstar=pair.gstar @ q.T)
+
+
+def max_rank_one_norm(pair):
+    """max_i ||f_i|| ||g_i||, the scale of the kernel's rounding error."""
+    return float(np.max(np.linalg.norm(pair.f, axis=0) * np.linalg.norm(pair.gstar, axis=1)))
+
+
+class TestMaskedNormKernel:
+    def test_random_empty_and_full_masks(self):
+        rng = np.random.default_rng(41)
+        pair = random_pair(rng, 12)
+        masks = rng.integers(0, 2, size=(300, 12)).astype(float)
+        masks[0] = 0.0
+        masks[1] = 1.0
+        got = _masked_norms(pair.f, pair.gstar, masks)
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(1.0, rel=1e-12)
+        assert_kernel_matches(pair.f, pair.gstar, masks)
+
+    def test_rotated_olevskii_block_sum(self):
+        rng = np.random.default_rng(42)
+        blocks = [olevskii_block(k, 0.8) for k in range(1, 5)]
+        pair = rotated(rng, BasisPair(
+            f=direct_sum([b.f for b in blocks]), gstar=direct_sum([b.gstar for b in blocks])
+        ))
+        masks = rng.integers(0, 2, size=(500, pair.size)).astype(float)
+        assert_kernel_matches(pair.f, pair.gstar, masks)
+
+    def test_column_scaled_ill_conditioned_pair(self):
+        # right diagonal scaling leaves every projection unchanged, and the
+        # Gram form is invariant under it, though kappa(F) ~ 1e6
+        rng = np.random.default_rng(43)
+        pair = transform_right_diagonal(random_pair(rng, 14), np.geomspace(1.0, 1e6, 14))
+        assert condition_number(pair.f) > 1e5
+        masks = rng.integers(0, 2, size=(300, 14)).astype(float)
+        assert_kernel_matches(pair.f, pair.gstar, masks)
+
+    def test_rotated_ill_conditioned_pair(self):
+        # kappa(F) ~ 1e6 from rotations: small norms lose accuracy as
+        # eps * (s / norm)^2, but the largest norm, which the searches use,
+        # agrees with the SVD
+        rng = np.random.default_rng(44)
+        pair = random_pair(rng, 10, kappa=1e6)
+        masks = all_subset_masks(10)
+        got = _masked_norms(pair.f, pair.gstar, masks)
+        want = svd_reference(pair.f, pair.gstar, masks)
+        assert np.max(got) == pytest.approx(np.max(want), rel=1e-12)
+        s = max_rank_one_norm(pair)
+        nonempty = want > 0.0
+        err = np.abs(got - want)[nonempty] / want[nonempty]
+        assert np.all(err <= 1e-12 * np.maximum(1.0, (s / want[nonempty]) ** 2))
+        exact = unconditional_constant(pair)
+        assert exact.value == pytest.approx(brute_unconditional(pair), rel=1e-12)
+
+    def test_cholesky_failure_falls_back_to_svd(self):
+        # columns 1 and 2 are parallel to 1e-10: Gf[D,D] is singular in
+        # floating point, yet the pair is invertible
+        f = np.eye(4)
+        f[0, 1] = 1.0
+        f[1, 1] = 1e-10
+        pair = biorthogonal_inverse(f)
+        masks = all_subset_masks(4)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(pair.f[:, :2].T @ pair.f[:, :2])
+        assert_kernel_matches(pair.f, pair.gstar, masks)
+
+
+class TestReportedValues:
+    @staticmethod
+    def attained(pair, est):
+        return np.linalg.norm(natural_projection(pair, est.witness), 2)
+
+    def test_values_are_attained_by_witness(self):
+        rng = np.random.default_rng(45)
+        pair = rotated(rng, olevskii_block(3, 0.8))
+        big = random_pair(rng, 20, kappa=100.0)
+        estimates = [
+            (pair, basis_constant(pair)),
+            (pair, unconditional_constant(pair)),
+            (big, basis_constant(big)),
+            (big, unconditional_constant(big, budget=SearchBudget(samples=500, seed=3))),
+        ]
+        assert [e.mode for _, e in estimates] == ["Exact", "Exact", "Exact", "LowerBoundWitness"]
+        for p, est in estimates:
+            assert est.value == pytest.approx(self.attained(p, est), rel=1e-15, abs=0.0)
+
+    def test_exact_counts_every_subset(self):
+        # 2^12 subsets span two kernel batches; every subset appears once
+        batches = list(_subset_batches(12))
+        assert len(batches) == 2
+        np.testing.assert_array_equal(np.vstack(batches), all_subset_masks(12)[:, ::-1])
+        rng = np.random.default_rng(46)
+        pair = random_pair(rng, 12)
+        est = unconditional_constant(pair)
+        assert est.mode == "Exact"
+        assert est.evaluations == 2 ** 12
+        assert est.value == pytest.approx(brute_unconditional(pair), rel=1e-12)
+
+    def test_complementary_projections_sum_to_identity(self):
+        rng = np.random.default_rng(47)
+        pair = random_pair(rng, 9)
+        for _ in range(10):
+            d = [int(i) for i in np.flatnonzero(rng.integers(0, 2, 9)) + 1]
+            rest = [i for i in range(1, 10) if i not in d]
+            total = natural_projection(pair, d) + natural_projection(pair, rest)
+            np.testing.assert_allclose(total, np.eye(9), atol=1e-12)
+
+    def test_exact_cutoff_limit(self):
+        SearchBudget(exact_cutoff=MAX_EXACT_CUTOFF)
+        with pytest.raises(ValueError, match="exact cutoff"):
+            SearchBudget(exact_cutoff=MAX_EXACT_CUTOFF + 1)
