@@ -10,11 +10,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import jsonfmt
 from .errors import InsufficientCardinalityError, PlanValidationError
-from .kernel import condition_number, permutation_matrix, polar_decompose
+from .kernel import condition_number, polar_decompose
 from .olevskii import (
     OlevskiiPlan,
     haar_matrix,

@@ -56,12 +56,24 @@ def invert(m):
     return np.linalg.inv(a)
 
 
+def _as_matrix_or_diagonal(m):
+    """*m* checked as by as_matrix, or a nonempty finite 1-d array (a diagonal)."""
+    a = np.asarray(m, dtype=float)
+    return as_matrix(a[None, :])[0] if a.ndim == 1 else as_matrix(a)
+
+
 def condition_number(m):
-    """sigma_max / sigma_min of a square matrix; math.inf when effectively singular."""
-    a = as_matrix(m)
-    _require_square(a)
-    if _is_diagonal(a):
-        s = np.abs(np.diagonal(a))
+    """sigma_max / sigma_min of a square matrix; math.inf when effectively singular.
+
+    A 1-d array is read as the diagonal of a square matrix.
+    """
+    a = _as_matrix_or_diagonal(m)
+    if a.ndim == 2:
+        _require_square(a)
+        if _is_diagonal(a):
+            a = np.diagonal(a)
+    if a.ndim == 1:
+        s = np.abs(a)
         smax, smin = float(np.max(s)), float(np.min(s))
     else:
         s = np.linalg.svd(a, compute_uv=False)

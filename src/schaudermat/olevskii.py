@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlanValidationError
-from .kernel import direct_sum
 from .schauder import BasisPair
 
 HAAR_MAX_LEVEL = 12
@@ -214,90 +213,60 @@ class ConditionalModel:
     level_sizes: tuple
 
 
-def keylemma_assemble(spectrum, plan, ratio_bound=RATIO_BOUND_DEFAULT, lead=None):
+def keylemma_assemble(spectrum, plan, lead=None):
     """Build the conditional model for a validated plan.
 
     Per level k: reversed diagonal (selected lambdas in position order, then
     leftovers), scaling X_k = diag(c_k lambda/alpha^w) (+) I, block unitary
     A_k^T (+) I, and pair blocks T_(k,alpha) A_k^T (+) S_k with inverse
     A_k T^{-1} (+) S_k^{-1}. An optional *lead* value prepends a 1x1
-    passthrough block.
+    passthrough block. Diagonals and the rearrangement are kept as vectors;
+    the dense fields of the model are formed from them once at the end.
     """
-    report = validate_plan(spectrum, plan, ratio_bound=ratio_bound)
+    report = validate_plan(spectrum, plan)
     if not report.ok:
         raise PlanValidationError(report)
     values = np.asarray(spectrum.values if hasattr(spectrum, "values") else spectrum, dtype=float)
 
-    f_blocks, g_blocks, x_blocks, u_blocks = [], [], [], []
-    tilde_indices = []  # spectrum index per assembled position, block order
-    sizes = []
-
+    # Per assembled (tilde) position: its lambda and the position it takes
+    # in original order; each level's block starts at offsets[k - 1].
+    lam_parts, order_parts, offsets, sizes = [], [], [], []
     if lead is not None:
         if lead <= 0:
             raise ValueError("lead block value must be positive")
-        f_blocks.append(np.array([[lead]]))
-        g_blocks.append(np.array([[1.0 / lead]]))
-        x_blocks.append(np.eye(1))
-        u_blocks.append(np.eye(1))
-        tilde_indices.append(None)
+        lam_parts.append(np.array([lead], dtype=float))
+        order_parts.append(np.zeros(1, dtype=int))
         sizes.append(1)
 
     for k, subset in enumerate(plan.subsets, start=1):
-        c_k, _ = plan.c_bounds[k - 1]
-        lam = values[np.array(subset) - 1]
+        idx = np.array(subset + plan.leftovers[k - 1])
+        offsets.append(sum(sizes))
+        lam_parts.append(values[idx - 1])
+        # Original order sorts each level's indices increasingly (decreasing lambda).
+        order_parts.append(offsets[-1] + np.argsort(idx))
+        sizes.append(idx.size)
+
+    lam = np.concatenate(lam_parts)
+    order = np.concatenate(order_parts)
+    n = lam.size
+    # Outside the Haar blocks, F, G*, X and U are diag(lambda), diag(1/lambda), I and I.
+    f, gstar, x, u = np.diag(lam), np.diag(1.0 / lam), np.ones(n), np.eye(n)
+    for k, offset in enumerate(offsets, start=1):
+        sl = slice(offset, offset + 2 ** k)
         exps = np.array(weight_exponents(k), dtype=float)
-        leftovers = plan.leftovers[k - 1]
-        s_vals = values[np.array(leftovers, dtype=int) - 1] if leftovers else np.empty(0)
-
+        x[sl] = plan.c_bounds[k - 1][0] * lam[sl] / plan.alpha ** exps
         block = olevskii_block(k, plan.alpha)
-        if s_vals.size:
-            f_blocks.append(direct_sum([block.f, np.diag(s_vals)]))
-            g_blocks.append(direct_sum([block.gstar, np.diag(1.0 / s_vals)]))
-            u_blocks.append(direct_sum([haar_matrix(k).T, np.eye(s_vals.size)]))
-        else:
-            f_blocks.append(block.f)
-            g_blocks.append(block.gstar)
-            u_blocks.append(haar_matrix(k).T)
-        x_diag = np.concatenate([c_k * lam / plan.alpha ** exps, np.ones(s_vals.size)])
-        x_blocks.append(np.diag(x_diag))
-        tilde_indices.extend(list(subset) + list(leftovers))
-        sizes.append(2 ** k + s_vals.size)
-
-    f = direct_sum(f_blocks)
-    gstar = direct_sum(g_blocks)
-    x = direct_sum(x_blocks)
-    u = direct_sum(u_blocks)
-
-    # Rearrangement: original order sorts each level's indices increasingly
-    # (decreasing lambda); the assembled (tilde) order is as given above.
-    n = f.shape[0]
-    sorted_positions = {}
-    offset = 0
-    for size in sizes:
-        block_idx = tilde_indices[offset:offset + size]
-        ranked = sorted(range(size), key=lambda p: -1 if block_idx[p] is None else block_idx[p])
-        for rank, p in enumerate(ranked):
-            sorted_positions[offset + p] = offset + rank
-        offset += size
-
-    rearrangement = np.zeros((n, n))
-    t_diag = np.empty(n)
-    for p in range(n):
-        i = sorted_positions[p]
-        rearrangement[i, p] = 1.0
-        lam_p = lead if tilde_indices[p] is None else values[tilde_indices[p] - 1]
-        t_diag[i] = lam_p
-    diagonal_section = np.diag(t_diag)
-    onb_images = diagonal_section @ rearrangement @ u
+        f[sl, sl], gstar[sl, sl], u[sl, sl] = block.f, block.gstar, haar_matrix(k).T
+    t = lam[order]
 
     return ConditionalModel(
         basis_matrix=f,
         inverse_matrix=gstar,
-        scaling=x,
+        scaling=np.diag(x),
         block_unitary=u,
-        rearrangement=rearrangement,
-        onb_images=onb_images,
-        diagonal_section=diagonal_section,
+        rearrangement=np.eye(n)[order],
+        onb_images=t[:, None] * u[order],
+        diagonal_section=np.diag(t),
         level_sizes=tuple(sizes),
     )
 

@@ -11,12 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import as_matrix, condition_number, invert, permutation_matrix
+from .kernel import (
+    _as_matrix_or_diagonal,
+    as_matrix,
+    condition_number,
+    invert,
+    permutation_matrix,
+)
 
 PAIR_TOL = 1e-9
 # Largest accepted SearchBudget.exact_cutoff: exact enumeration of N indices
 # evaluates 2^N subsets.
 MAX_EXACT_CUTOFF = 20
+
+# A greedy flip is taken only if it beats the best norm by more than this
+# relative margin, so that a gain of a few rounding ulps ends the search.
+GREEDY_RTOL = 1e-12
 
 # Number of masks evaluated per vectorized kernel call.
 _BATCH = 2048
@@ -211,7 +221,7 @@ def unconditional_constant(pair, budget=SearchBudget()):
         flip_norms = _masked_norms(f, gstar, flips)
         evaluations += n
         cand = int(np.argmax(flip_norms))
-        if flip_norms[cand] <= best_value:
+        if flip_norms[cand] <= best_value * (1 + GREEDY_RTOL):
             break
         best_value = float(flip_norms[cand])
         best_mask = flips[cand]
@@ -237,15 +247,16 @@ def riesz_diagnostic(f, section_sizes, bound_threshold=1e2, divergence_threshold
     NotRiesz: the largest section exceeds divergence_threshold and the last
     three condition numbers are strictly increasing. RieszConsistent: all
     sections stay within bound_threshold and the last three are not strictly
-    increasing. Anything else is Inconclusive.
+    increasing. Anything else is Inconclusive. A 1-d *f* is read as the
+    diagonal of a square matrix.
     """
-    a = as_matrix(f)
+    a = _as_matrix_or_diagonal(f)
     sizes = list(section_sizes)
     if not sizes or any(s <= 0 or s > a.shape[0] for s in sizes):
         raise ValueError(f"section sizes must lie in 1..{a.shape[0]}")
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("section sizes must be strictly increasing")
-    conds = [condition_number(a[:s, :s]) for s in sizes]
+    conds = [condition_number(a[(slice(s),) * a.ndim]) for s in sizes]
 
     tail = conds[-3:]
     increasing = len(tail) >= 2 and all(x < y for x, y in zip(tail, tail[1:]))

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientCardinalityError
-from .kernel import direct_sum
-from .olevskii import OlevskiiPlan, keylemma_assemble, olevskii_block, validate_plan
+from .olevskii import OlevskiiPlan, keylemma_assemble, validate_plan
 from .schauder import (
     BasisPair,
     SearchBudget,
@@ -254,20 +253,17 @@ class HarmonicDemoReport:
         }
 
 
-def harmonic_demo(
-    levels,
-    alpha,
-    delta,
-    spectrum_length=10000,
-    budget=SearchBudget(),
-    riesz_size=4096,
-    riesz_sections=(64, 1024, 4096),
-):
+# Leading sections of the harmonic diagonal checked by the demo's Riesz diagnostic.
+RIESZ_SECTIONS = (64, 1024, 4096)
+
+
+def harmonic_demo(levels, alpha, delta, spectrum_length=10000, budget=SearchBudget()):
     """Certify the conditional-basis construction on the harmonic diagonal.
 
-    Selects subsets from lambda_n = 1/n, assembles the conditional model,
-    computes basis and unconditional constants of the cumulative level
-    prefixes, and runs the Riesz diagnostic on the raw harmonic diagonal.
+    Selects subsets from lambda_n = 1/n and assembles the conditional model.
+    The constants of level l are those of the model's leading m x m section
+    pair, m = 2^(l+1) - 2 (levels 1..l). The Riesz diagnostic runs on the raw
+    harmonic diagonal, passed as a vector.
     """
     spectrum = harmonic_spectrum(spectrum_length)
     selection = select_subsets(spectrum, alpha, delta, levels)
@@ -277,17 +273,14 @@ def harmonic_demo(
     defect = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
 
     basis_by_level, uncond_by_level = [], []
-    blocks = [olevskii_block(k, alpha) for k in range(1, levels + 1)]
     for ell in range(1, levels + 1):
-        f = direct_sum([b.f for b in blocks[:ell]])
-        gstar = direct_sum([b.gstar for b in blocks[:ell]])
-        pair = BasisPair(f=f, gstar=gstar)
+        m = 2 ** (ell + 1) - 2
+        pair = BasisPair(f=model.basis_matrix[:m, :m], gstar=model.inverse_matrix[:m, :m])
         basis_by_level.append(basis_constant(pair))
         uncond_by_level.append(unconditional_constant(pair, budget=budget))
 
     qmin, qmax = quasinormality_bounds(model.basis_matrix)
-    harmonic_diag = np.diag(1.0 / np.arange(1, riesz_size + 1))
-    riesz = riesz_diagnostic(harmonic_diag, riesz_sections)
+    riesz = riesz_diagnostic(1.0 / np.arange(1, RIESZ_SECTIONS[-1] + 1), RIESZ_SECTIONS)
 
     return HarmonicDemoReport(
         selection=selection,

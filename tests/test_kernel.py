@@ -122,6 +122,16 @@ class TestConditionNumber:
     def test_infinity_flag(self):
         assert math.isinf(condition_number(np.array([[1.0, 0.0], [0.0, 0.0]])))
 
+    def test_vector_is_read_as_diagonal(self):
+        v = np.array([0.5, -4.0, 2.0])
+        assert condition_number(v) == condition_number(np.diag(v)) == 8.0
+        assert math.isinf(condition_number(np.array([1.0, 0.0])))
+
+    @pytest.mark.parametrize("bad", [np.empty(0), np.array([1.0, np.nan]), np.array([np.inf])])
+    def test_vector_checks(self, bad):
+        with pytest.raises(ValueError):
+            condition_number(bad)
+
 
 class TestDirectSum:
     def test_scalars(self):

@@ -246,6 +246,33 @@ class TestKeylemmaAssemble:
         assert model.basis_matrix[0, 0] == pytest.approx(2.0)
         assert model.inverse_matrix[0, 0] == pytest.approx(0.5)
 
+    def test_fields_match_definitions_with_leftovers_and_lead(self):
+        # Unsorted leftovers interleave with the subset indices of both levels.
+        spectrum = SpectrumSequence(1.0 / np.arange(1, 30))
+        plan = OlevskiiPlan(
+            levels=2,
+            alpha=0.8,
+            subsets=[(3, 1), (7, 9, 5, 6)],
+            c_bounds=[(0.5, 30.0), (0.5, 30.0)],
+            leftovers=[(4, 2), (11, 8, 10)],
+        )
+        model = keylemma_assemble(spectrum, plan, lead=0.25)
+        assert model.level_sizes == (1, 4, 7)
+        r = model.rearrangement
+        assert set(np.unique(r)) == {0.0, 1.0}
+        np.testing.assert_array_equal(r.sum(axis=0), 1.0)
+        np.testing.assert_array_equal(r.sum(axis=1), 1.0)
+        t = np.diagonal(model.diagonal_section)
+        np.testing.assert_array_equal(model.diagonal_section, np.diag(t))
+        blocks = [[0.25]] + [
+            sorted(spectrum.values[np.array(s + lo) - 1], reverse=True)
+            for s, lo in zip(plan.subsets, plan.leftovers)
+        ]
+        np.testing.assert_array_equal(t, np.concatenate(blocks))
+        np.testing.assert_array_equal(
+            model.onb_images, model.diagonal_section @ r @ model.block_unitary
+        )
+
     def test_invalid_plan_rejected(self):
         spectrum = SpectrumSequence(np.array([1.0, 0.9]))
         plan = OlevskiiPlan(

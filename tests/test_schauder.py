@@ -238,9 +238,16 @@ class TestRieszDiagnostic:
         report = riesz_diagnostic(d, [64, 1024, 4096])
         assert report.verdict == "NotRiesz"
 
+    def test_vector_matches_dense_diagonal(self):
+        v = 1.0 / np.arange(1, 129)
+        for sizes in ([8, 32, 128], [2, 4, 8]):
+            assert riesz_diagnostic(v, sizes) == riesz_diagnostic(np.diag(v), sizes)
+
     def test_invalid_sections(self):
         with pytest.raises(ValueError):
             riesz_diagnostic(np.eye(4), [2, 8])
+        with pytest.raises(ValueError):
+            riesz_diagnostic(np.ones(4), [2, 8])
 
 
 class TestSummingCounterexample:
@@ -472,3 +479,16 @@ class TestReportedValues:
         SearchBudget(exact_cutoff=MAX_EXACT_CUTOFF)
         with pytest.raises(ValueError, match="exact cutoff"):
             SearchBudget(exact_cutoff=MAX_EXACT_CUTOFF + 1)
+
+
+def test_greedy_stops_on_rounding_only_gains():
+    # Many flips of the block-diagonal level-5 harmonic prefix pair tie in
+    # exact arithmetic; a flip that wins by a few ulps must not buy another
+    # round of n norms (20 062 samples and prefixes + one round of 62).
+    blocks = [olevskii_block(k, 0.8) for k in range(1, 6)]
+    pair = BasisPair(f=direct_sum([b.f for b in blocks]),
+                     gstar=direct_sum([b.gstar for b in blocks]))
+    est = unconditional_constant(pair, SearchBudget(seed=101))
+    assert est.mode == "LowerBoundWitness"
+    assert est.evaluations == 20124
+    assert est.value == pytest.approx(1.425503125, rel=1e-12)

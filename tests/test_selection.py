@@ -160,21 +160,21 @@ class TestRatioLimitCheck:
 
 class TestHarmonicDemo:
     def test_two_levels_increase(self):
-        report = harmonic_demo(2, 0.8, 2.0, riesz_size=256, riesz_sections=(16, 64, 256))
+        report = harmonic_demo(2, 0.8, 2.0)
         values = [c.value for c in report.unconditional_by_level]
         assert values[1] > values[0] + 1e-6
 
     def test_three_levels_strictly_increasing(self):
-        report = harmonic_demo(3, 0.8, 2.0, riesz_size=256, riesz_sections=(16, 64, 256))
+        report = harmonic_demo(3, 0.8, 2.0)
         values = [c.value for c in report.unconditional_by_level]
         assert values[0] + 1e-6 < values[1] < values[2] - 1e-6
         assert all(c.mode == "Exact" for c in report.unconditional_by_level)
 
     def test_single_level(self):
-        report = harmonic_demo(1, 0.8, 2.0, riesz_size=64, riesz_sections=(8, 32, 64))
+        report = harmonic_demo(1, 0.8, 2.0)
         assert report.unconditional_by_level[0].value >= 1.0 - 1e-10
         assert report.unitary_defect < 1e-9
 
     def test_quasinormality_recorded(self):
-        report = harmonic_demo(2, 0.8, 2.0, riesz_size=64, riesz_sections=(8, 32, 64))
+        report = harmonic_demo(2, 0.8, 2.0)
         assert 0.0 < report.quasinorm_min <= report.quasinorm_max
