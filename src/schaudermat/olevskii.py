@@ -102,6 +102,8 @@ class OlevskiiPlan:
         object.__setattr__(self, "subsets", tuple(tuple(s) for s in self.subsets))
         object.__setattr__(self, "c_bounds", tuple(tuple(cd) for cd in self.c_bounds))
         object.__setattr__(self, "leftovers", tuple(tuple(s) for s in lo))
+        if any(len(cd) != 2 for cd in self.c_bounds):
+            raise ValueError("each c_bounds entry must be a pair (c_k, d_k)")
         if len(self.leftovers) != self.levels:
             raise ValueError("leftovers must have one entry per level")
 
@@ -116,13 +118,19 @@ class OlevskiiPlan:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            levels=int(obj["levels"]),
-            alpha=float(obj["alpha"]),
-            subsets=tuple(tuple(int(i) for i in s) for s in obj["subsets"]),
-            c_bounds=tuple(tuple(float(x) for x in cd) for cd in obj["cBounds"]),
-            leftovers=tuple(tuple(int(i) for i in s) for s in obj.get("leftovers", [])),
-        )
+        """Parse a plan object; a missing or ill-typed key raises ValueError."""
+        def field(key, cast, nested=True):
+            if not isinstance(obj, dict) or key not in obj:
+                raise ValueError(f"plan has no key {key!r}")
+            value = obj[key]
+            try:
+                return tuple(tuple(map(cast, row)) for row in value) if nested else cast(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"plan key {key!r} is ill-typed: {exc}") from None
+
+        return cls(levels=field("levels", int, False), alpha=field("alpha", float, False),
+                   subsets=field("subsets", int), c_bounds=field("cBounds", float),
+                   leftovers=field("leftovers", int) if "leftovers" in obj else ())
 
 
 @dataclass(frozen=True)
@@ -151,8 +159,8 @@ def validate_plan(spectrum, plan, ratio_bound=RATIO_BOUND_DEFAULT):
     bad = []
     _check_alpha(plan.alpha)
 
-    ratios = [d / c for c, d in plan.c_bounds]
-    if max(ratios) > ratio_bound:
+    ratios = [d / c for c, d in plan.c_bounds if 0 < c <= d]
+    if ratios and max(ratios) > ratio_bound:
         bad.append(
             f"condition (a): max d_k/c_k = {max(ratios):.6g} exceeds bound {ratio_bound:.6g}"
         )

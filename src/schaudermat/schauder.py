@@ -119,14 +119,23 @@ def natural_projection(pair, indices):
     return (pair.f * mask) @ pair.gstar
 
 
-def _masked_norms(f, gstar, masks):
+def _masked_norms(f, gstar, masks, known=None):
     """Spectral norms of F diag(mask) G* for a (batch, n) stack of 0/1 masks.
 
     With Gf = F^T F, Gg = G* G*^T and D the support of a mask,
-    ||F P_D G*||^2 = lambda_max(C^T Gg[D,D] C) for the Cholesky factor
-    C C^T = Gf[D,D], so each norm costs a |D| x |D| symmetric eigenvalue
+    ||F P_D G*||^2 = lambda_max(M) with M = C^T Gg[D,D] C for the Cholesky
+    factor C C^T = Gf[D,D], so each norm costs a |D| x |D| symmetric eigenvalue
     problem instead of an n x n SVD. Masks are grouped by |D|; a group whose
     Gf[D,D] is not numerically positive definite falls back to the SVD.
+
+    Given *known*, each M whose bound 1 + ||(M - I)^4||_F^(1/4) on
+    lambda_max falls below the larger of *known* and the norms found so far
+    is not solved: its mask gets -inf. The bound holds for any symmetric M
+    and is tight here: as F P_D G* is idempotent, every eigenvalue of M is
+    >= 1, and M - I drops the unit eigenvalues. The 1e-9 relative margin on
+    lambda is far above the rounding of the bound and of eigvalsh, so a
+    pruned mask is provably below that norm, and the other masks get the
+    same norms as without *known*.
 
     The relative rounding error is about eps * (s / ||F P_D G*||)^2 with
     s = max_i ||f_i|| ||g_i||, the square of the SVD's factor. The maxima the
@@ -148,15 +157,30 @@ def _masked_norms(f, gstar, masks):
             out[rows] = [_attained(f, gstar, mask) for mask in masks[rows]]
             continue
         m = np.swapaxes(c, 1, 2) @ gg[block] @ c
+        del idx, block, c  # hold only M from here on
+        if known is not None:
+            known = max(known, out.max())  # >= 0, as this group's rows are still 0
+            e = m - np.eye(d)
+            e = e @ e
+            e = e @ e
+            keep = 1.0 + np.einsum("ijk,ijk->i", e, e) ** 0.125 >= known ** 2 * (1 - 1e-9)
+            del e
+            out[rows[~keep]] = -np.inf
+            rows, m = rows[keep], m[keep]
         out[rows] = np.sqrt(np.linalg.eigvalsh(m)[:, -1])
     return out
 
 
-def _best_mask(f, gstar, batches):
-    """(kernel norm, mask) of the first largest norm in an iterable of mask stacks."""
-    best_value, best_mask = -np.inf, None
+def _best_mask(f, gstar, batches, floor=-np.inf):
+    """(kernel norm, mask) of the first largest norm above *floor* in an
+    iterable of mask stacks, or (floor, None) if no norm exceeds it.
+
+    Each batch is screened by the bound of _masked_norms against the best
+    norm so far, which leaves the first largest norm and its mask unchanged.
+    """
+    best_value, best_mask = floor, None
     for masks in batches:
-        norms = _masked_norms(f, gstar, masks)
+        norms = _masked_norms(f, gstar, masks, known=best_value)
         i = int(np.argmax(norms))
         if norms[i] > best_value:
             best_value, best_mask = float(norms[i]), masks[i]
@@ -218,13 +242,11 @@ def unconditional_constant(pair, budget=SearchBudget()):
         flips = np.repeat(best_mask[None, :], n, axis=0)
         idx = np.arange(n)
         flips[idx, idx] = 1.0 - flips[idx, idx]
-        flip_norms = _masked_norms(f, gstar, flips)
         evaluations += n
-        cand = int(np.argmax(flip_norms))
-        if flip_norms[cand] <= best_value * (1 + GREEDY_RTOL):
+        value, mask = _best_mask(f, gstar, [flips], floor=best_value * (1 + GREEDY_RTOL))
+        if mask is None:
             break
-        best_value = float(flip_norms[cand])
-        best_mask = flips[cand]
+        best_value, best_mask = value, mask
 
     return _estimate(f, gstar, best_mask, "LowerBoundWitness", evaluations)
 

@@ -130,6 +130,33 @@ def test_select_and_validate_roundtrip(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+
+PLAN = {"levels": 1, "alpha": 0.8, "subsets": [[1, 2]], "cBounds": [[0.5, 1.0]]}
+
+
+def test_validate_plan_reports_nonpositive_lower_bound(tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(dict(PLAN, cBounds=[[0.0, 1.0]])))
+    code, out = run(capsys, "validate-plan", "--spectrum", "harmonic:10", "--plan", str(plan_file))
+    assert code == 2
+    assert json.loads(out) == {"ok": False, "violations": ["level 1: invalid bounds c=0.0, d=1.0"]}
+
+
+@pytest.mark.parametrize("plan, message", [
+    ({k: v for k, v in PLAN.items() if k != "cBounds"}, "plan has no key 'cBounds'"),
+    ({k: v for k, v in PLAN.items() if k != "subsets"}, "plan has no key 'subsets'"),
+    (dict(PLAN, subsets=5), "plan key 'subsets' is ill-typed"),
+    (dict(PLAN, cBounds=[[0.5, 1.0, 2.0]]), "must be a pair"),
+], ids=["no-cBounds", "no-subsets", "int-subsets", "triple-cBounds"])
+def test_validate_plan_malformed_exit_code(tmp_path, capsys, plan, message):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(plan))
+    code = main(["validate-plan", "--spectrum", "harmonic:10", "--plan", str(plan_file)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert message in captured.err
+
 def test_select_failure_exit_code(capsys):
     code, _ = run(
         capsys,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from schaudermat import (
     transform_right_permutation,
     unconditional_constant,
 )
-from schaudermat.schauder import MAX_EXACT_CUTOFF, _masked_norms, _subset_batches
+from schaudermat.schauder import (
+    MAX_EXACT_CUTOFF,
+    _best_mask,
+    _masked_norms,
+    _subset_batches,
+)
 
 
 def brute_unconditional(pair):
@@ -433,6 +439,118 @@ class TestMaskedNormKernel:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(pair.f[:, :2].T @ pair.f[:, :2])
         assert_kernel_matches(pair.f, pair.gstar, masks)
+
+
+def cholesky_fallback_pair():
+    # columns 1 and 2 are parallel to 1e-10: Gf[D,D] is singular in
+    # floating point, yet the pair is invertible
+    f = np.eye(4)
+    f[0, 1] = 1.0
+    f[1, 1] = 1e-10
+    return biorthogonal_inverse(f)
+
+
+def block_sum(levels, identity=0):
+    """The direct sum of the level 1..levels Olevskii block pairs, plus I_identity."""
+    blocks = [olevskii_block(k, 0.8) for k in range(1, levels + 1)]
+    eye = [np.eye(identity)] if identity else []
+    return BasisPair(f=direct_sum([b.f for b in blocks] + eye),
+                     gstar=direct_sum([b.gstar for b in blocks] + eye))
+
+
+def seeded_sections(seed):
+    """Rotated N = 64 and N = 128 block sections, built as the dense-constants
+    benchmark workload builds them from its seed."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n, pair in [(16, None), (64, block_sum(5, 2)), (128, block_sum(6, 2))]:
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        if pair is not None:
+            out.append(biorthogonal_inverse((q * np.sign(np.diag(r))) @ pair.f))
+    return out
+
+
+class TestScreenedArgmax:
+    """_best_mask prunes by a bound but must return the argmax of _masked_norms."""
+
+    @staticmethod
+    def assert_same_argmax(pair, masks):
+        norms = _masked_norms(pair.f, pair.gstar, masks)
+        i = int(np.argmax(norms))
+        for batches in ([masks], np.array_split(masks, min(3, len(masks)))):
+            value, mask = _best_mask(pair.f, pair.gstar, batches)
+            assert value == norms[i]
+            np.testing.assert_array_equal(mask, masks[i])
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(48)
+        for n in (6, 12, 20):
+            pair = random_pair(rng, n)
+            self.assert_same_argmax(pair, rng.integers(0, 2, size=(700, n)).astype(float))
+        self.assert_same_argmax(random_pair(rng, 10), all_subset_masks(10))
+
+    def test_orthogonal_ties(self):
+        # every norm is 1 up to rounding, so the screen can prune almost nothing
+        rng = np.random.default_rng(49)
+        q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        self.assert_same_argmax(BasisPair(f=q, gstar=q.T), all_subset_masks(10))
+
+    def test_block_diagonal_demo_pair_with_exact_ties(self):
+        rng = np.random.default_rng(50)
+        pair = block_sum(5)
+        masks = rng.integers(0, 2, size=(3000, pair.size)).astype(float)
+        flips = np.repeat(masks[:1], pair.size, axis=0)
+        flips[np.arange(pair.size), np.arange(pair.size)] = 1.0 - np.diag(flips)
+        self.assert_same_argmax(pair, np.vstack([masks, flips, masks[::-1]]))
+
+    def test_rotated_ill_conditioned_pair(self):
+        rng = np.random.default_rng(44)
+        self.assert_same_argmax(random_pair(rng, 10, kappa=1e6), all_subset_masks(10))
+
+    def test_cholesky_fallback_pair(self):
+        self.assert_same_argmax(cholesky_fallback_pair(), all_subset_masks(4))
+
+    def test_empty_mask(self):
+        rng = np.random.default_rng(51)
+        pair = random_pair(rng, 8)
+        masks = rng.integers(0, 2, size=(50, 8)).astype(float)
+        masks[0] = 0.0
+        self.assert_same_argmax(pair, masks)
+        self.assert_same_argmax(pair, masks[:1])
+
+    def test_floor_above_every_norm_returns_no_mask(self):
+        rng = np.random.default_rng(52)
+        pair = random_pair(rng, 9)
+        masks = all_subset_masks(9)
+        top = float(np.max(_masked_norms(pair.f, pair.gstar, masks)))
+        assert _best_mask(pair.f, pair.gstar, [masks], floor=top) == (top, None)
+        value, mask = _best_mask(pair.f, pair.gstar, [masks], floor=np.nextafter(top, 0.0))
+        assert value == top and mask is not None
+
+    def test_screen_prunes_most_eigen_solves(self, monkeypatch):
+        # guards against the screen degrading into a full evaluation: 305 of
+        # the 20 128 masks reach eigvalsh, 2 430 with the bound 1 + ||E^2||_F^(1/2)
+        pair, _ = seeded_sections(101)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(len(m)) or eigvalsh(m))
+        est = unconditional_constant(pair, SearchBudget(seed=101))
+        assert est.evaluations == 20128
+        assert sum(solved) < 0.05 * est.evaluations
+
+    def test_traced_peak_memory(self):
+        # The unscreened search peaked at 22.5 MiB (N = 128) and 26.8 MiB
+        # (N = 64) under tracemalloc with numpy 2.4; allow 10% more.
+        pair64, pair128 = seeded_sections(101)
+        for pair, budget, limit in [(pair128, SearchBudget(samples=2000, seed=101), 22.5),
+                                    (pair64, SearchBudget(seed=101), 26.8)]:
+            tracemalloc.start()
+            try:
+                unconditional_constant(pair, budget)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak / 2 ** 20 <= 1.1 * limit
 
 
 class TestReportedValues:
