@@ -73,8 +73,8 @@ def olevskii_block(k, alpha):
     a = haar_matrix(k)
     w = np.array([alpha ** j for j in weight_exponents(k)])
     f = a.T * w[:, None]  # diag(w) @ A^T
-    gstar = a / w  # A @ diag(1/w)
-    return BasisPair(f=f, gstar=gstar)
+    a /= w  # G* = A @ diag(1/w), formed in place
+    return BasisPair(f=f, gstar=a)
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,12 @@ class BasisPair:
         g = as_matrix(self.gstar)
         if f.shape != g.shape or f.shape[0] != f.shape[1]:
             raise ValueError(f"pair must be square of equal shape, got {f.shape} and {g.shape}")
-        n = f.shape[0]
-        eye = np.eye(n)
-        if np.max(np.abs(f @ g - eye)) >= PAIR_TOL or np.max(np.abs(g @ f - eye)) >= PAIR_TOL:
-            raise ValueError("F*Gstar and Gstar*F must equal the identity within 1e-9")
+        for a, b in ((f, g), (g, f)):
+            r = a @ b  # one n x n product at a time, shifted by -I in place
+            r.flat[:: r.shape[0] + 1] -= 1.0
+            if np.max(np.abs(r, out=r)) >= PAIR_TOL:
+                raise ValueError("F*Gstar and Gstar*F must equal the identity within 1e-9")
+            del r
 
     @property
     def size(self):
@@ -233,8 +235,8 @@ def unconditional_constant(pair, budget=SearchBudget()):
         return _estimate(f, gstar, mask, "Exact", 2 ** n)
 
     rng = np.random.default_rng(budget.seed)
-    sampled = rng.integers(0, 2, size=(budget.samples, n)).astype(float)
-    masks = np.vstack([np.tril(np.ones((n, n))), sampled])
+    masks = np.vstack([np.tril(np.ones((n, n))),
+                       rng.integers(0, 2, size=(budget.samples, n)).astype(float)])
     best_value, best_mask = _best_mask(f, gstar, _batches(masks))
     evaluations = masks.shape[0]
 

@@ -1,9 +1,9 @@
 """Shared matrix text format.
 
 First non-comment line: "rows cols" (base-10 integers). Then `rows` lines of
-`cols` space-separated decimal floats. Lines starting with '#' are comments.
-Values are written with 17 significant digits so a save/load round trip is
-bit-exact.
+`cols` whitespace-separated decimal floats, parsed by numpy's text reader.
+Blank lines and lines starting with '#' are skipped. Values are written with
+17 significant digits so a save/load round trip is bit-exact.
 """
 
 import numpy as np
@@ -13,10 +13,18 @@ from .kernel import as_matrix
 
 def save_matrix(path, m):
     a = as_matrix(m)
+    # An open file, so that numpy never gzips a path ending in .gz
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for row in a:
-            fh.write(" ".join(format(x, ".17g") for x in row) + "\n")
+        np.savetxt(fh, a, fmt="%.17g", header=f"{a.shape[0]} {a.shape[1]}", comments="")
+
+
+def _parse(lines, cols):
+    """numpy's reading of *lines* if it is a len(lines) x cols matrix, else None."""
+    try:
+        a = np.loadtxt(lines, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return a if a.shape == (len(lines), cols) else None
 
 
 def load_matrix(path):
@@ -38,21 +46,19 @@ def load_matrix(path):
                 if rows <= 0 or cols <= 0:
                     raise IOError(f"{path}: line {lineno}: dimensions must be positive")
                 continue
-            if len(data) >= rows:
-                raise IOError(
-                    f"{path}: line {lineno}: extra data row (declared {rows} rows)"
-                )
-            parts = line.split()
-            if len(parts) != cols:
-                raise IOError(
-                    f"{path}: line {lineno}: expected {cols} values, got {len(parts)}"
-                )
-            try:
-                data.append([float(x) for x in parts])
-            except ValueError:
-                raise IOError(f"{path}: line {lineno}: unparsable value")
+            data.append((lineno, line))
+            if len(data) > rows:
+                break
     if rows is None:
         raise IOError(f"{path}: no header line found")
-    if len(data) != rows:
-        raise IOError(f"{path}: declared {rows} rows but found {len(data)}")
-    return np.array(data)
+    if len(data) == rows and (a := _parse([line for _, line in data], cols)) is not None:
+        return a
+    # Only a malformed file is parsed again, line by line, to name its first bad line.
+    for lineno, line in data[:rows]:
+        if _parse([line], cols) is None:
+            got = len(line.split())
+            problem = "unparsable value" if got == cols else f"expected {cols} values, got {got}"
+            raise IOError(f"{path}: line {lineno}: {problem}")
+    if len(data) > rows:
+        raise IOError(f"{path}: line {data[rows][0]}: extra data row (declared {rows} rows)")
+    raise IOError(f"{path}: declared {rows} rows but found {len(data)}")

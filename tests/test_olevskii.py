@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,16 @@ class TestOlevskiiBlock:
         pair = olevskii_block(k, 0.8)
         n = 2 ** k
         assert np.max(np.abs(pair.gstar @ pair.f - np.eye(n))) < 1e-10
+
+    def test_traced_peak_memory(self):
+        # F, G* and one product for the pair check: 3 x 8 MiB at k = 10.
+        tracemalloc.start()
+        try:
+            olevskii_block(10, 0.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2 ** 20 <= 34.0
 
     def test_constants_increase_with_level(self):
         values = [
