@@ -1,9 +1,9 @@
 """Command-line front door.
 
 One subcommand per operation: generate matrices, compute constants, run the
-selection procedures and the harmonic demo. Reports are deterministic JSON
-(17 significant digits) or CSV; identical arguments always produce
-byte-identical output.
+selection procedures and the harmonic demo. Reports are JSON, or CSV where a
+command has a table; floats take Python's shortest round-trip spelling in
+both, and identical arguments always produce byte-identical output.
 """
 
 import argparse
@@ -50,22 +50,15 @@ EXIT_VALIDATION = 2
 
 
 def _emit(args, payload, csv_rows=None):
-    """Write the report as JSON (default) or CSV to --out or stdout."""
+    """Write the report as JSON, or as CSV under --format csv, to --out or stdout."""
     if getattr(args, "format", "json") == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output is not available for this command")
         header, rows = csv_rows
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join(format(x, ".17g") if isinstance(x, float) else str(x) for x in row)
-            )
+        lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         text = jsonfmt.dumps(payload)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -91,8 +84,10 @@ def _add_budget_flags(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_format_flags(p):
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+def _add_report_flags(p, csv=False):
+    """--out for a JSON report; with *csv*, also --format to choose a CSV table."""
+    if csv:
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="write the report to this path")
 
 
@@ -274,8 +269,8 @@ def build_parser():
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out-f", required=True)
     p.add_argument("--out-gstar", required=True)
-    _add_format_flags(p)
-    p.set_defaults(func=cmd_block, out=None)
+    _add_report_flags(p)
+    p.set_defaults(func=cmd_block)
 
     p = sub.add_parser("counterexample", help="write the summing-type pair")
     p.add_argument("--n", type=int, required=True)
@@ -286,12 +281,12 @@ def build_parser():
     p = sub.add_parser("constants", help="basis and unconditional constants of a section")
     p.add_argument("--matrix", required=True)
     _add_budget_flags(p)
-    _add_format_flags(p)
+    _add_report_flags(p, csv=True)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("dual-constants", help="dual basis constant of a section")
     p.add_argument("--matrix", required=True)
-    _add_format_flags(p)
+    _add_report_flags(p)
     p.set_defaults(func=cmd_dual_constants)
 
     p = sub.add_parser("riesz", help="condition numbers of leading sections")
@@ -299,7 +294,7 @@ def build_parser():
     p.add_argument("--sections", required=True, help="comma-separated sizes")
     p.add_argument("--bound", type=float, default=1e2)
     p.add_argument("--divergence", type=float, default=1e3)
-    _add_format_flags(p)
+    _add_report_flags(p, csv=True)
     p.set_defaults(func=cmd_riesz)
 
     p = sub.add_parser("polar", help="polar decomposition M = U A")
@@ -321,14 +316,14 @@ def build_parser():
     p.add_argument("--lambda1", type=float, required=True)
     p.add_argument("--lambda2", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
-    _add_format_flags(p)
+    _add_report_flags(p)
     p.set_defaults(func=cmd_lp_witness)
 
     p = sub.add_parser("profile", help="window cardinalities of a spectrum")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--ts", required=True, help="comma-separated window tops")
-    _add_format_flags(p)
+    _add_report_flags(p, csv=True)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("select", help="inductive level-subset selection")
@@ -336,26 +331,26 @@ def build_parser():
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--levels", type=int, required=True)
-    _add_format_flags(p)
+    _add_report_flags(p)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("validate-plan", help="check a plan JSON against a spectrum")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--plan", required=True)
-    _add_format_flags(p)
+    _add_report_flags(p)
     p.set_defaults(func=cmd_validate_plan)
 
     p = sub.add_parser("cut", help="refine a decreasing grid to a ratio bound")
     p.add_argument("--mu", required=True, help="comma-separated decreasing grid")
     p.add_argument("--max-ratio", type=float, required=True)
-    _add_format_flags(p)
+    _add_report_flags(p, csv=True)
     p.set_defaults(func=cmd_cut)
 
     p = sub.add_parser("ratio-check", help="tail consecutive-ratio criterion")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--tail", type=int, required=True)
     p.add_argument("--tolerance", type=float, default=0.05)
-    _add_format_flags(p)
+    _add_report_flags(p)
     p.set_defaults(func=cmd_ratio_check)
 
     p = sub.add_parser("demo-harmonic", help="end-to-end harmonic diagonal demo")
@@ -364,12 +359,12 @@ def build_parser():
     p.add_argument("--delta", type=float, default=2.0)
     p.add_argument("--count", type=int, default=10000)
     _add_budget_flags(p)
-    _add_format_flags(p)
+    _add_report_flags(p)
     p.set_defaults(func=cmd_demo_harmonic)
 
     p = sub.add_parser("condition", help="condition number of a section")
     p.add_argument("--matrix", required=True)
-    _add_format_flags(p)
+    _add_report_flags(p)
     p.set_defaults(func=cmd_condition)
 
     return parser

@@ -1,38 +1,8 @@
-"""Deterministic JSON serialization: floats at 17 significant digits."""
+"""Deterministic JSON serialization: floats in their shortest round-trip spelling."""
 
 import json
 
 
-def _render(obj, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            raise ValueError(f"non-finite value not representable in JSON: {obj}")
-        return format(obj, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{pad_in}{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad_in}{_render(v, indent, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps(obj, indent=2):
-    return _render(obj, indent, 0) + "\n"
+def dumps(obj):
+    """*obj* as two-space-indented JSON text; NaN and infinities raise ValueError."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"

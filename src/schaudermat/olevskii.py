@@ -25,14 +25,18 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha must lie in (1/sqrt(2), 1), got {alpha}")
 
 
+def _check_level(k):
+    if not 1 <= k <= HAAR_MAX_LEVEL:
+        raise ValueError(f"k must lie in 1..{HAAR_MAX_LEVEL}, got {k}")
+
+
 def haar_matrix(k):
     """The 2^k x 2^k Haar-type orthogonal matrix A_k.
 
     Column 1 is constant 2^(-k/2); column j = 2^s + v takes +/- 2^((s-k)/2)
     on the two halves of its dyadic support and 0 elsewhere.
     """
-    if not 1 <= k <= HAAR_MAX_LEVEL:
-        raise ValueError(f"k must lie in 1..{HAAR_MAX_LEVEL}, got {k}")
+    _check_level(k)
     n = 2 ** k
     a = np.zeros((n, n))
     a[:, 0] = 2.0 ** (-k / 2.0)
@@ -64,6 +68,7 @@ def weight_exponents(k):
 
 def weight_matrix(k, alpha):
     """Diagonal 2^k x 2^k weight matrix with entries alpha^j in printed order."""
+    _check_level(k)
     _check_alpha(alpha)
     return np.diag([alpha ** j for j in weight_exponents(k)])
 
@@ -155,7 +160,7 @@ def validate_plan(spectrum, plan, ratio_bound=RATIO_BOUND_DEFAULT):
     max index of level k below min index of level k' for k < k'.
     Violations are reported as data, not raised.
     """
-    values = np.asarray(spectrum.values if hasattr(spectrum, "values") else spectrum, dtype=float)
+    values = spectrum.values
     bad = []
     _check_alpha(plan.alpha)
 
@@ -234,7 +239,7 @@ def keylemma_assemble(spectrum, plan, lead=None):
     report = validate_plan(spectrum, plan)
     if not report.ok:
         raise PlanValidationError(report)
-    values = np.asarray(spectrum.values if hasattr(spectrum, "values") else spectrum, dtype=float)
+    values = spectrum.values
 
     # Per assembled (tilde) position: its lambda and the position it takes
     # in original order; each level's block starts at offsets[k - 1].

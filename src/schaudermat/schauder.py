@@ -7,6 +7,7 @@ constants: the basis constant is the maximum over prefix index sets, the
 unconditional constant the maximum over all index subsets.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,8 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self):
+        if self.samples < 0:
+            raise ValueError(f"samples must be >= 0, got {self.samples}")
         if self.exact_cutoff > MAX_EXACT_CUTOFF:
             raise ValueError(f"exact cutoff {self.exact_cutoff} exceeds the limit "
                              f"{MAX_EXACT_CUTOFF} (exact enumeration evaluates 2^N subsets)")
@@ -235,10 +238,11 @@ def unconditional_constant(pair, budget=SearchBudget()):
         return _estimate(f, gstar, mask, "Exact", 2 ** n)
 
     rng = np.random.default_rng(budget.seed)
-    masks = np.vstack([np.tril(np.ones((n, n))),
-                       rng.integers(0, 2, size=(budget.samples, n)).astype(float)])
-    best_value, best_mask = _best_mask(f, gstar, _batches(masks))
-    evaluations = masks.shape[0]
+    sampled = (rng.integers(0, 2, size=(min(_BATCH, budget.samples - start), n)).astype(float)
+               for start in range(0, budget.samples, _BATCH))
+    best_value, best_mask = _best_mask(
+        f, gstar, itertools.chain(_batches(np.tril(np.ones((n, n)))), sampled))
+    evaluations = n + budget.samples
 
     while True:
         flips = np.repeat(best_mask[None, :], n, axis=0)

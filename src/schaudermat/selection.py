@@ -29,7 +29,6 @@ class SpectrumSequence:
     """Strictly decreasing positive reals standing in for an operator spectrum."""
 
     values: np.ndarray
-    tag: str = "explicit"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -45,14 +44,14 @@ class SpectrumSequence:
 
 def harmonic_spectrum(n):
     """lambda_k = 1/k for k = 1..n."""
-    return SpectrumSequence(1.0 / np.arange(1, n + 1), tag="harmonic")
+    return SpectrumSequence(1.0 / np.arange(1, n + 1))
 
 
 def geometric_spectrum(r, n):
     """lambda_k = r^k for k = 1..n, 0 < r < 1."""
     if not 0 < r < 1:
         raise ValueError("ratio must lie in (0, 1)")
-    return SpectrumSequence(r ** np.arange(1, n + 1), tag=f"geometric({r})")
+    return SpectrumSequence(r ** np.arange(1, n + 1))
 
 
 def parse_spectrum(text):

@@ -4,8 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from schaudermat import haar_matrix, load_matrix, save_matrix
-from schaudermat.cli import main
+from schaudermat import (
+    SearchBudget,
+    basis_constant,
+    biorthogonal_inverse,
+    cardinality_profile,
+    haar_matrix,
+    load_matrix,
+    olevskii_block,
+    parse_spectrum,
+    quasinormality_bounds,
+    riesz_diagnostic,
+    save_matrix,
+    segment_cut,
+    unconditional_constant,
+)
+from schaudermat.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -46,7 +60,92 @@ def test_constants_csv(tmp_path, capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "quantity,value"
-    assert lines[1] == "basis,1"
+    assert lines[1] == "basis,1.0"
+
+
+def csv_lines(capsys, *argv):
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    return out.splitlines()
+
+
+def test_csv_floats_are_repr_of_library_values(tmp_path, capsys):
+    mat = tmp_path / "f.mtx"
+    save_matrix(mat, olevskii_block(3, 0.8).f)
+    pair = biorthogonal_inverse(load_matrix(mat))
+    qmin, qmax = quasinormality_bounds(pair.f)
+    assert csv_lines(capsys, "constants", "--matrix", str(mat)) == [
+        "quantity,value",
+        f"basis,{basis_constant(pair).value!r}",
+        f"unconditional,{unconditional_constant(pair).value!r}",
+        f"quasinormMin,{qmin!r}",
+        f"quasinormMax,{qmax!r}",
+    ]
+
+    dense = tmp_path / "m.mtx"
+    save_matrix(dense, np.random.default_rng(5).standard_normal((16, 16)))
+    report = riesz_diagnostic(load_matrix(dense), [4, 8, 16])
+    assert csv_lines(capsys, "riesz", "--matrix", str(dense), "--sections", "4,8,16") == [
+        "section,conditionNumber",
+        *(f"{s},{c!r}" for s, c in zip([4, 8, 16], report.condition_numbers)),
+    ]
+
+    counts = cardinality_profile(parse_spectrum("harmonic:1000"), 2.0, [0.3, 0.01])
+    assert csv_lines(capsys, "profile", "--spectrum", "harmonic:1000", "--delta", "2",
+                     "--ts", "0.3,0.01") == ["t,count", f"0.3,{counts[0]}", f"0.01,{counts[1]}"]
+
+    grid = segment_cut([1.0, 0.1], 1.7)
+    assert csv_lines(capsys, "cut", "--mu", "1,0.1", "--max-ratio", "1.7") == [
+        "point", *(repr(g) for g in grid)]
+
+
+def test_format_only_on_commands_with_a_table():
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    with_format = sorted(name for name, sub in commands.items()
+                         if "--format" in sub._option_string_actions)
+    assert with_format == ["constants", "cut", "profile", "riesz"]
+
+
+def test_block_rejects_format_before_writing(tmp_path, capsys):
+    f, g = tmp_path / "f.mtx", tmp_path / "g.mtx"
+    code = main(["block", "--k", "2", "--alpha", "0.8", "--out-f", str(f),
+                 "--out-gstar", str(g), "--format", "csv"])
+    assert code == 1
+    assert not f.exists() and not g.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-plan", "--spectrum", "harmonic:10", "--plan", "plan.json", "--format", "csv"],
+    ["validate-plan", "--spectrum", "harmonic:10", "--plan", "plan.json", "--format", "json"],
+    ["demo-harmonic", "--levels", "2", "--format", "csv"],
+], ids=["validate-plan-csv", "validate-plan-json", "demo-harmonic-csv"])
+def test_format_is_a_usage_error_without_a_table(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
+def test_negative_samples_exit_code(tmp_path, capsys):
+    with pytest.raises(ValueError, match="samples must be >= 0"):
+        SearchBudget(samples=-1)
+    mat = tmp_path / "id4.mtx"
+    save_matrix(mat, np.eye(4))
+    code = main(["constants", "--matrix", str(mat), "--samples", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "samples must be >= 0, got -1" in captured.err
+
+
+def test_weight_level_above_limit_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "w.mtx"
+    code = main(["weight", "--k", "13", "--alpha", "0.8", "--out", str(out)])
+    assert code == 1
+    assert "k must lie in 1..12, got 13" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_counterexample_and_dual(tmp_path, capsys):
