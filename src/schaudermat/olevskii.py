@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlanValidationError
-from .schauder import BasisPair
+from .schauder import HAAR_MAX_LEVEL, BasisPair
 
-HAAR_MAX_LEVEL = 12
 ALPHA_LOW = 1.0 / math.sqrt(2.0)
+# rank1_conjugation_witness certifies its norm to this absolute slack.
+WITNESS_TOL = 1e-9
 
 
 def _check_alpha(alpha):
@@ -75,6 +76,7 @@ def weight_matrix(k, alpha):
 
 def olevskii_block(k, alpha):
     """The basis pair (T_(k,alpha) A_k^T, A_k T_(k,alpha)^{-1})."""
+    _check_alpha(alpha)
     a = haar_matrix(k)
     w = np.array([alpha ** j for j in weight_exponents(k)])
     f = a.T * w[:, None]  # diag(w) @ A^T
@@ -226,15 +228,14 @@ class ConditionalModel:
     level_sizes: tuple
 
 
-def keylemma_assemble(spectrum, plan, lead=None):
+def keylemma_assemble(spectrum, plan):
     """Build the conditional model for a validated plan.
 
     Per level k: reversed diagonal (selected lambdas in position order, then
     leftovers), scaling X_k = diag(c_k lambda/alpha^w) (+) I, block unitary
     A_k^T (+) I, and pair blocks T_(k,alpha) A_k^T (+) S_k with inverse
-    A_k T^{-1} (+) S_k^{-1}. An optional *lead* value prepends a 1x1
-    passthrough block. Diagonals and the rearrangement are kept as vectors;
-    the dense fields of the model are formed from them once at the end.
+    A_k T^{-1} (+) S_k^{-1}. Diagonals and the rearrangement are kept as
+    vectors; the dense fields of the model are formed from them once at the end.
     """
     report = validate_plan(spectrum, plan)
     if not report.ok:
@@ -244,13 +245,6 @@ def keylemma_assemble(spectrum, plan, lead=None):
     # Per assembled (tilde) position: its lambda and the position it takes
     # in original order; each level's block starts at offsets[k - 1].
     lam_parts, order_parts, offsets, sizes = [], [], [], []
-    if lead is not None:
-        if lead <= 0:
-            raise ValueError("lead block value must be positive")
-        lam_parts.append(np.array([lead], dtype=float))
-        order_parts.append(np.zeros(1, dtype=int))
-        sizes.append(1)
-
     for k, subset in enumerate(plan.subsets, start=1):
         idx = np.array(subset + plan.leftovers[k - 1])
         offsets.append(sum(sizes))
@@ -284,13 +278,13 @@ def keylemma_assemble(spectrum, plan, lead=None):
     )
 
 
-def rank1_conjugation_witness(lambda1, lambda2, delta=0.0, epsilon=1e-9):
+def rank1_conjugation_witness(lambda1, lambda2, delta=0.0):
     """Rank-1 projection blowing up under conjugation by diag spectrum endpoints.
 
     On the 2-d section A = diag(lambda1 + delta, lambda2 - delta) (the worst
     admissible endpoints) and e = (e1 + e2)/sqrt(2), P = e e^T, the value
     ||A P A^{-1}|| = ||Ae|| ||A^{-1}e|| is returned together with the bound
-    lambda2/(2 sqrt(2) lambda1); the value is certified >= bound - epsilon.
+    lambda2/(2 sqrt(2) lambda1); the value is certified >= bound - WITNESS_TOL.
     """
     if lambda1 <= 0 or lambda2 < lambda1:
         raise ValueError("need 0 < lambda1 <= lambda2")
@@ -304,7 +298,7 @@ def rank1_conjugation_witness(lambda1, lambda2, delta=0.0, epsilon=1e-9):
         (a1 ** -2 + a2 ** -2) / 2.0
     )
     bound = lambda2 / (2.0 * math.sqrt(2.0) * lambda1)
-    if norm_value < bound - epsilon:
+    if norm_value < bound - WITNESS_TOL:
         raise AssertionError(
             f"witness norm {norm_value} fell below certified bound {bound}"
         )
@@ -319,8 +313,6 @@ def projection_blowup_witness(pairs):
     """
     norms = []
     for lam_big, lam_small in pairs:
-        if lam_small <= 0 or lam_small > lam_big:
-            raise ValueError(f"invalid pair ({lam_big}, {lam_small})")
         _, value, _ = rank1_conjugation_witness(lam_small, lam_big, delta=0.0)
         norms.append(value)
     return norms

@@ -32,6 +32,9 @@ GREEDY_RTOL = 1e-12
 # Number of masks evaluated per vectorized kernel call.
 _BATCH = 2048
 
+# Largest Haar level k; 2^k = 4096 also bounds every other generated section.
+HAAR_MAX_LEVEL = 12
+
 
 @dataclass(frozen=True)
 class BasisPair:
@@ -45,6 +48,8 @@ class BasisPair:
         g = as_matrix(self.gstar)
         if f.shape != g.shape or f.shape[0] != f.shape[1]:
             raise ValueError(f"pair must be square of equal shape, got {f.shape} and {g.shape}")
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "gstar", g)
         for a, b in ((f, g), (g, f)):
             r = a @ b  # one n x n product at a time, shifted by -I in place
             r.flat[:: r.shape[0] + 1] -= 1.0
@@ -109,8 +114,7 @@ class RieszReport:
 
 def biorthogonal_inverse(f):
     """Pair a nonsingular section with its inverse (the biorthogonal system)."""
-    a = as_matrix(f)
-    return BasisPair(f=a, gstar=invert(a))
+    return BasisPair(f=f, gstar=invert(f))
 
 
 def natural_projection(pair, indices):
@@ -306,8 +310,8 @@ def summing_counterexample(n):
     of the diagonal; Gstar is the matching upper-triangular inverse. Both are
     integer matrices and exact inverses of each other.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= 2 ** HAAR_MAX_LEVEL:
+        raise ValueError(f"n must lie in 1..{2 ** HAAR_MAX_LEVEL}, got {n}")
     f = np.zeros((n, n))
     f[0, 0] = 1.0
     for i in range(1, n):
@@ -323,8 +327,10 @@ def summing_counterexample(n):
 def transform_left(x, pair):
     """(X F, Gstar X^{-1}) for invertible X."""
     xm = as_matrix(x)
-    xinv = invert(xm)
-    return BasisPair(f=xm @ pair.f, gstar=pair.gstar @ xinv)
+    if xm.shape != (pair.size, pair.size):
+        raise ValueError(f"left factor must be {pair.size}x{pair.size}, got "
+                         f"{xm.shape[0]}x{xm.shape[1]}")
+    return BasisPair(f=xm @ pair.f, gstar=pair.gstar @ invert(xm))
 
 
 def transform_right_diagonal(pair, d):

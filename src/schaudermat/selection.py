@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientCardinalityError
-from .olevskii import OlevskiiPlan, keylemma_assemble, validate_plan
+from .olevskii import (OlevskiiPlan, _check_alpha, keylemma_assemble, validate_plan,
+                       weight_exponents)
 from .schauder import (
     BasisPair,
     SearchBudget,
@@ -34,7 +35,7 @@ class SpectrumSequence:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("spectrum must be a nonempty 1-d sequence")
-        if np.any(v <= 0) or np.any(np.diff(v) >= 0):
+        if not (np.all(v > 0) and np.all(v[1:] < v[:-1])):  # NaN fails both
             raise ValueError("spectrum must be strictly decreasing and positive")
         object.__setattr__(self, "values", v)
 
@@ -42,16 +43,27 @@ class SpectrumSequence:
         return int(self.values.shape[0])
 
 
+# Most values a generated spectrum may hold (80 MB of float64).
+MAX_SPECTRUM_LENGTH = 10 ** 7
+
+
+def _positions(n):
+    """k = 1..n for a generated spectrum, refused above MAX_SPECTRUM_LENGTH."""
+    if n > MAX_SPECTRUM_LENGTH:
+        raise ValueError(f"spectrum length must be at most {MAX_SPECTRUM_LENGTH}, got {n}")
+    return np.arange(1, n + 1)
+
+
 def harmonic_spectrum(n):
     """lambda_k = 1/k for k = 1..n."""
-    return SpectrumSequence(1.0 / np.arange(1, n + 1))
+    return SpectrumSequence(1.0 / _positions(n))
 
 
 def geometric_spectrum(r, n):
     """lambda_k = r^k for k = 1..n, 0 < r < 1."""
     if not 0 < r < 1:
         raise ValueError("ratio must lie in (0, 1)")
-    return SpectrumSequence(r ** np.arange(1, n + 1))
+    return SpectrumSequence(r ** _positions(n))
 
 
 def parse_spectrum(text):
@@ -66,16 +78,24 @@ def parse_spectrum(text):
     return SpectrumSequence(np.array(vals))
 
 
+def _window(values, top, delta):
+    """Index range [a, b) of the decreasing *values* that lie in [top/delta, top]."""
+    rising = values[::-1]  # an increasing view, not a copy
+    n = values.shape[0]
+    return (n - int(np.searchsorted(rising, top, side="right")),
+            n - int(np.searchsorted(rising, top / delta, side="left")))
+
+
 def cardinality_profile(spectrum, delta, ts):
     """For each t, the number of spectrum values in [t/delta, t], inclusive."""
-    if delta <= 1:
+    if not delta > 1:
         raise ValueError(f"delta must exceed 1, got {delta}")
-    v = spectrum.values
     counts = []
     for t in ts:
         if t <= 0:
             raise ValueError("profile points must be positive")
-        counts.append(int(np.count_nonzero((v >= t / delta) & (v <= t))))
+        a, b = _window(spectrum.values, t, delta)
+        counts.append(b - a)
     return counts
 
 
@@ -96,71 +116,54 @@ class SelectionResult:
 def select_subsets(spectrum, alpha, delta, levels):
     """Inductively select disjoint level subsets from nested spectral windows.
 
-    For each level k a threshold t0 is searched (descending through spectrum
-    values below everything already used) such that every window
-    [t0 alpha^j / delta, t0 alpha^j], j = 1..k, still holds at least 2^k
-    unused values. Draws go window k first (two values), then j = k-1 down
-    to 1 (2^(k-j) values each), always taking the largest available values.
-    Bounds are c_k = 1/t0, d_k = delta/t0.
+    For each level k a threshold t0 is searched, descending through the
+    spectrum values after the last index already used, such that every window
+    [t0 alpha^j / delta, t0 alpha^j], j = 1..k, holds at least 2^k values.
+    Each window lies below t0, so no used value can fall in one. Block
+    position p (see weight_exponents) then takes the largest value of its
+    window not yet taken at this level. Bounds are c_k = 1/t0, d_k = delta/t0.
     """
-    if delta <= 1:
+    _check_alpha(alpha)
+    if not delta > 1:
         raise ValueError(f"delta must exceed 1, got {delta}")
     v = spectrum.values
-    used = np.zeros(v.shape[0], dtype=bool)
-    subsets, c_bounds, t0s, cards = [], [], [], []
+    subsets, t0s, cards = [], [], []
 
     for k in range(1, levels + 1):
         need = 2 ** k
-        floor = float(np.min(v[used])) if used.any() else math.inf
-        candidates = np.flatnonzero(v < floor)
-        chosen_t0 = None
-        first_failure = None
-        for ci in candidates:
-            t0 = v[ci]
-            counts = []
-            ok = True
+        start = max(subsets[-1]) if subsets else 0  # subsets are 1-based: the next index
+        failure = None  # the first candidate's first short window
+        for t0 in map(float, v[start:]):
+            ranges = []
             for j in range(1, k + 1):
-                lo, hi = t0 * alpha ** j / delta, t0 * alpha ** j
-                avail = int(np.count_nonzero((v >= lo) & (v <= hi) & ~used))
-                counts.append(avail)
-                if avail < need:
-                    if first_failure is None:
-                        first_failure = (j, (lo, hi), avail)
-                    ok = False
+                top = t0 * alpha ** j
+                a, b = _window(v, top, delta)
+                ranges.append((a, b))
+                if b - a < need:
+                    failure = failure or (j, (top / delta, top), b - a)
                     break
-            if ok:
-                chosen_t0 = float(t0)
-                cards.append(tuple(counts))
+            else:
                 break
-        if chosen_t0 is None:
-            if first_failure is None:
-                first_failure = (1, (0.0, 0.0), 0)
-            j, window, avail = first_failure
+        else:
+            j, window, avail = failure or (1, (0.0, 0.0), 0)
             raise InsufficientCardinalityError(
                 level=k, exponent=j, window=window, needed=need, available=avail
             )
 
-        # Draw in block-position order: exponent k twice, then j = k-1..1.
-        subset = []
-        groups = [(k, 2)] + [(j, 2 ** (k - j)) for j in range(k - 1, 0, -1)]
-        for j, count in groups:
-            lo, hi = chosen_t0 * alpha ** j / delta, chosen_t0 * alpha ** j
-            avail = np.flatnonzero((v >= lo) & (v <= hi) & ~used)
-            picks = avail[:count]  # values are decreasing: largest first
-            used[picks] = True
-            subset.extend(int(i + 1) for i in picks)
-        subsets.append(tuple(subset))
-        c_bounds.append((1.0 / chosen_t0, delta / chosen_t0))
-        t0s.append(chosen_t0)
+        nxt = [a for a, _ in ranges]  # the next index to try in window j is nxt[j - 1]
+        subset, taken = [], set()
+        for j in weight_exponents(k):
+            while nxt[j - 1] in taken:
+                nxt[j - 1] += 1
+            taken.add(nxt[j - 1])
+            subset.append(nxt[j - 1] + 1)
+        subsets.append(subset)
+        t0s.append(t0)
+        cards.append(tuple(b - a for a, b in ranges))
 
-    plan = OlevskiiPlan(
-        levels=levels,
-        alpha=alpha,
-        subsets=tuple(subsets),
-        c_bounds=tuple(c_bounds),
-        leftovers=tuple(() for _ in subsets),
-    )
-    report = validate_plan(spectrum, plan, ratio_bound=max(delta, 1.0) + 1e-9)
+    plan = OlevskiiPlan(levels=levels, alpha=alpha, subsets=subsets,
+                        c_bounds=[(1.0 / t0, delta / t0) for t0 in t0s])
+    report = validate_plan(spectrum, plan, ratio_bound=delta + 1e-9)
     if not report.ok:
         raise AssertionError("selected plan failed validation:\n" + "\n".join(report.violations))
     return SelectionResult(
@@ -178,9 +181,7 @@ def segment_cut(mu, max_ratio):
     if max_ratio <= 1:
         raise ValueError(f"ratio bound must exceed 1, got {max_ratio}")
     pts = [float(x) for x in mu]
-    if not pts or any(x <= 0 for x in pts):
-        raise ValueError("grid must be strictly decreasing and positive")
-    if any(b >= a for a, b in zip(pts, pts[1:])):
+    if not pts or min(pts) <= 0 or any(b >= a for a, b in zip(pts, pts[1:])):
         raise ValueError("grid must be strictly decreasing and positive")
     out = [pts[0]]
     for a, b in zip(pts, pts[1:]):

@@ -148,6 +148,31 @@ def test_weight_level_above_limit_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_block_alpha_outside_range_writes_nothing(tmp_path, capsys):
+    f, g = tmp_path / "f.mtx", tmp_path / "g.mtx"
+    code = main(["block", "--k", "2", "--alpha", "0.5", "--out-f", str(f),
+                 "--out-gstar", str(g)])
+    assert code == 1
+    assert "alpha must lie in (1/sqrt(2), 1), got 0.5" in capsys.readouterr().err
+    assert not f.exists() and not g.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["counterexample", "--n", "4097", "--out-f", "f.mtx", "--out-gstar", "g.mtx"],
+     "n must lie in 1..4096, got 4097"),
+    (["profile", "--spectrum", "harmonic:10000001", "--delta", "2", "--ts", "1"],
+     "spectrum length must be at most 10000000, got 10000001"),
+], ids=["counterexample", "profile"])
+def test_sizes_above_limit_exit_code(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_counterexample_and_dual(tmp_path, capsys):
     f = tmp_path / "f.mtx"
     g = tmp_path / "g.mtx"
@@ -195,6 +220,18 @@ def test_transform_permutation(tmp_path, capsys):
     f = load_matrix(out_f)
     g = load_matrix(out_g)
     np.testing.assert_allclose(f @ g, np.eye(3), atol=1e-12)
+
+
+def test_transform_left_of_wrong_size(tmp_path, capsys):
+    mat, left = tmp_path / "f.mtx", tmp_path / "x.mtx"
+    save_matrix(mat, np.eye(16))
+    save_matrix(left, np.eye(9))
+    out_f, out_g = tmp_path / "tf.mtx", tmp_path / "tg.mtx"
+    code = main(["transform", "--matrix", str(mat), "--left", str(left),
+                 "--out-f", str(out_f), "--out-gstar", str(out_g)])
+    assert code == 1
+    assert "left factor must be 16x16, got 9x9" in capsys.readouterr().err
+    assert not out_f.exists() and not out_g.exists()
 
 
 def test_lp_witness_command(capsys):

@@ -1,7 +1,10 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function or class is referenced in the package."""
+"""Every name a package module imports is used in that module, every
+module-level private function or class is referenced in the package, and
+every defaulted parameter is passed by some call in the package."""
 
 import ast
+import math
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,47 @@ def test_checker_flags_dead_helper():
 def test_no_dead_helpers():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert dead_helpers(sources) == []
+
+
+def unpassed_defaults(sources):
+    """name(parameter) for each defaulted parameter that no call in *sources* passes.
+
+    Calls are matched to definitions by name alone. A call passes a parameter
+    by its keyword, by a positional argument at its place (methods skip self),
+    or through *args / **kwargs.
+    """
+    trees = [ast.parse(source) for source in sources]
+    keywords, positional = defaultdict(set), defaultdict(int)
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        keywords[name] |= {kw.arg for kw in call.keywords}  # None stands for **kwargs
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        positional[name] = max(positional[name], math.inf if starred else len(call.args))
+    unpassed = []
+    for tree in trees:
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            params = fn.args.posonlyargs + fn.args.args
+            skip = 1 if id(fn) in methods else 0
+            defaulted = [(i - skip, p.arg) for i, p in enumerate(params)
+                         if i >= len(params) - len(fn.args.defaults)]
+            kwonly = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            defaulted += [(math.inf, p.arg) for p, d in kwonly if d is not None]
+            unpassed += [f"{fn.name}({arg})" for place, arg in defaulted
+                         if not ({arg, None} & keywords[fn.name]) and positional[fn.name] <= place]
+    return sorted(unpassed)
+
+
+def test_checker_flags_unpassed_default():
+    sources = ["def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+               "def g(x=0): pass\n"
+               "def h(x=0): pass\n"
+               "class K:\n    def m(self, x=0): pass\n    def n(self, y=0): pass\n",
+               "f(1, 2, e=5)\nK().m(1)\ng(*[1])\nh(**{'x': 1})\n"]
+    assert unpassed_defaults(sources) == ["f(c)", "f(d)", "n(y)"]
+
+
+def test_every_default_is_passed():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    # main's argv defaults to sys.argv for the console-script entry point.
+    assert unpassed_defaults(sources) == ["main(argv)"]

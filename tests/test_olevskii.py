@@ -94,6 +94,11 @@ class TestOlevskiiBlock:
         lo, hi = quasinormality_bounds(pair.f)
         assert lo == pytest.approx(0.9) and hi == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("alpha", [0.5, INV_SQRT2, 1.0, 1.5])
+    def test_alpha_outside_range_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            olevskii_block(2, alpha)
+
     def test_k2_quasinormality_ratio(self):
         lo, hi = quasinormality_bounds(olevskii_block(2, 0.8).f)
         assert hi / lo <= 2.0
@@ -247,17 +252,7 @@ class TestKeylemmaAssemble:
         expected = direct_sum([olevskii_block(1, 0.8).f, olevskii_block(2, 0.8).f])
         np.testing.assert_allclose(model.basis_matrix, expected, atol=1e-14)
 
-    def test_lead_block(self):
-        spectrum = SpectrumSequence(np.array([1.0, 0.9]))
-        plan = OlevskiiPlan(
-            levels=1, alpha=0.8, subsets=[(1, 2)], c_bounds=[(0.5, 1.0)]
-        )
-        model = keylemma_assemble(spectrum, plan, lead=2.0)
-        assert model.basis_matrix.shape == (3, 3)
-        assert model.basis_matrix[0, 0] == pytest.approx(2.0)
-        assert model.inverse_matrix[0, 0] == pytest.approx(0.5)
-
-    def test_fields_match_definitions_with_leftovers_and_lead(self):
+    def test_fields_match_definitions_with_leftovers(self):
         # Unsorted leftovers interleave with the subset indices of both levels.
         spectrum = SpectrumSequence(1.0 / np.arange(1, 30))
         plan = OlevskiiPlan(
@@ -267,15 +262,15 @@ class TestKeylemmaAssemble:
             c_bounds=[(0.5, 30.0), (0.5, 30.0)],
             leftovers=[(4, 2), (11, 8, 10)],
         )
-        model = keylemma_assemble(spectrum, plan, lead=0.25)
-        assert model.level_sizes == (1, 4, 7)
+        model = keylemma_assemble(spectrum, plan)
+        assert model.level_sizes == (4, 7)
         r = model.rearrangement
         assert set(np.unique(r)) == {0.0, 1.0}
         np.testing.assert_array_equal(r.sum(axis=0), 1.0)
         np.testing.assert_array_equal(r.sum(axis=1), 1.0)
         t = np.diagonal(model.diagonal_section)
         np.testing.assert_array_equal(model.diagonal_section, np.diag(t))
-        blocks = [[0.25]] + [
+        blocks = [
             sorted(spectrum.values[np.array(s + lo) - 1], reverse=True)
             for s, lo in zip(plan.subsets, plan.leftovers)
         ]

@@ -98,6 +98,13 @@ class TestBiorthogonalInverse:
             with pytest.raises(ValueError):
                 BasisPair(f=np.eye(3), gstar=g)
 
+    def test_pair_keeps_the_checked_arrays(self):
+        pair = BasisPair(f=[[2.0]], gstar=[[0.5]])
+        assert pair.size == 1
+        assert isinstance(pair.f, np.ndarray) and isinstance(pair.gstar, np.ndarray)
+        pair = BasisPair(f=np.eye(2, dtype=int), gstar=np.eye(2, dtype=int))
+        assert pair.f.dtype == np.float64 and pair.gstar.dtype == np.float64
+
 
 class TestNaturalProjection:
     def test_full_set_is_identity(self):
@@ -290,6 +297,11 @@ class TestSummingCounterexample:
         np.testing.assert_array_equal(pair.f @ pair.gstar, np.eye(9))
         np.testing.assert_array_equal(pair.gstar @ pair.f, np.eye(9))
 
+    @pytest.mark.parametrize("n", [0, 4097])
+    def test_size_outside_range_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n must lie in 1..4096, got {n}"):
+            summing_counterexample(n)
+
     @pytest.mark.parametrize("n", [2, 5, 10])
     def test_first_projection_norm(self, n):
         pair = summing_counterexample(n)
@@ -298,6 +310,10 @@ class TestSummingCounterexample:
 
 
 class TestTransforms:
+    def test_left_of_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="left factor must be 4x4, got 3x3"):
+            transform_left(np.eye(3), summing_counterexample(4))
+
     def test_left_identity_noop(self):
         pair = summing_counterexample(4)
         out = transform_left(np.eye(4), pair)

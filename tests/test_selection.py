@@ -17,6 +17,57 @@ from schaudermat import (
 )
 
 
+def random_spectrum(rng):
+    """A strictly decreasing sample: uniform, exponentially spread or harmonic-like."""
+    n = int(rng.integers(2, 400))
+    x = [rng.uniform(0.0, 1.0, n), np.exp(-rng.exponential(3.0, n)),
+         1.0 / rng.integers(1, 4 * n, n)][int(rng.integers(3))]
+    return SpectrumSequence(np.unique(x[x > 0])[::-1])
+
+
+def oracle_select(spectrum, alpha, delta, levels):
+    """select_subsets from its definition, with a boolean mask per window.
+
+    Returns (subsets, t0s, cardinalities) of the plan, or the fields
+    (level, exponent, window, needed, available) of the failure.
+    """
+    v = spectrum.values
+    used = np.zeros(v.size, dtype=bool)
+    subsets, t0s, cards = [], [], []
+    for k in range(1, levels + 1):
+        need = 2 ** k
+
+        def window(j):
+            lo, hi = t0 * alpha ** j / delta, t0 * alpha ** j
+            return (lo, hi), np.flatnonzero((v >= lo) & (v <= hi) & ~used)
+
+        failure = None
+        floor = v[used].min() if used.any() else np.inf
+        for t0 in v[v < floor]:
+            counts = []
+            for j in range(1, k + 1):
+                bounds, avail = window(j)
+                counts.append(avail.size)
+                if avail.size < need:
+                    failure = failure or (k, j, bounds, need, avail.size)
+                    break
+            else:
+                break
+        else:
+            return failure or (k, 1, (0.0, 0.0), need, 0)
+        subset = []
+        # Exponent k twice, then 2^(k-j) values of exponent j = k-1..1,
+        # each time the largest unused values of the window.
+        for j, count in [(k, 2)] + [(j, 2 ** (k - j)) for j in range(k - 1, 0, -1)]:
+            picks = window(j)[1][:count]
+            used[picks] = True
+            subset.extend(int(i) + 1 for i in picks)
+        subsets.append(tuple(subset))
+        t0s.append(float(t0))
+        cards.append(tuple(counts))
+    return tuple(subsets), tuple(t0s), tuple(cards)
+
+
 class TestSpectrumSequence:
     def test_rejects_increase(self):
         with pytest.raises(ValueError):
@@ -26,11 +77,26 @@ class TestSpectrumSequence:
         with pytest.raises(ValueError):
             SpectrumSequence(np.array([1.0, 0.0]))
 
+    def test_rejects_nan(self):
+        # Windows are found by binary search, which needs a sorted sample.
+        with pytest.raises(ValueError):
+            SpectrumSequence(np.array([1.0, np.nan, 0.5]))
+
     def test_parse_generators(self):
         h = parse_spectrum("harmonic:100")
         assert len(h) == 100 and h.values[9] == pytest.approx(0.1)
         g = parse_spectrum("geometric:0.5:10")
         assert g.values[2] == pytest.approx(0.125)
+
+    def test_generated_length_is_bounded(self):
+        # Refused before the 10^7 + 1 values are allocated.
+        message = "spectrum length must be at most 10000000, got 10000001"
+        with pytest.raises(ValueError, match=message):
+            harmonic_spectrum(10 ** 7 + 1)
+        with pytest.raises(ValueError, match=message):
+            geometric_spectrum(0.5, 10 ** 7 + 1)
+        with pytest.raises(ValueError, match=message):
+            harmonic_demo(1, 0.8, 2.0, spectrum_length=10 ** 7 + 1)
 
     def test_parse_file(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -67,6 +133,18 @@ class TestCardinalityProfile:
         with pytest.raises(ValueError):
             cardinality_profile(harmonic_spectrum(10), 1.0, [0.5])
 
+    def test_matches_boolean_counts(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            v = random_spectrum(rng).values
+            delta = float(rng.uniform(1.05, 4.0))
+            # Tops above, inside and below the spectrum, and windows that
+            # straddle either end.
+            ts = [*v[:: max(1, v.size // 9)], 2 * v[0], v[0] * (1 + delta) / 2,
+                  v[-1] * (1 + delta) / 2, v[-1], v[-1] / 2]
+            expected = [int(np.count_nonzero((v >= t / delta) & (v <= t))) for t in ts]
+            assert cardinality_profile(SpectrumSequence(v), delta, ts) == expected
+
 
 class TestSelectSubsets:
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
@@ -100,6 +178,38 @@ class TestSelectSubsets:
         for subset in plan.subsets:
             assert min(subset) > prev_max
             prev_max = max(subset)
+
+    def test_rejects_alpha_and_delta(self):
+        spectrum = harmonic_spectrum(100)
+        for alpha, delta in [(0.5, 2.0), (1.0, 2.0), (0.8, 1.0), (0.8, float("nan"))]:
+            with pytest.raises(ValueError):
+                select_subsets(spectrum, alpha, delta, 1)
+
+    def test_matches_mask_oracle_on_random_spectra(self):
+        rng = np.random.default_rng(2026)
+        outcomes = []
+        for _ in range(200):
+            spectrum = random_spectrum(rng)
+            alpha, delta = float(rng.uniform(0.71, 0.99)), float(rng.uniform(1.05, 4.0))
+            levels = int(rng.integers(1, 7))
+            expected = oracle_select(spectrum, alpha, delta, levels)
+            try:
+                result = select_subsets(spectrum, alpha, delta, levels)
+            except InsufficientCardinalityError as err:
+                got = (err.level, err.exponent, err.window, err.needed, err.available)
+            else:
+                t0s = result.t0_per_level
+                assert result.plan.c_bounds == tuple((1 / t, delta / t) for t in t0s)
+                got = (result.plan.subsets, result.t0_per_level, result.cardinality_per_level)
+            assert got == expected
+            outcomes.append(len(expected))
+        assert 20 <= outcomes.count(3) <= 180  # both plans and failures were compared
+
+    def test_harmonic_fails_at_level_eight(self):
+        with pytest.raises(InsufficientCardinalityError) as err:
+            select_subsets(harmonic_spectrum(20000), 0.8, 2.0, 10)
+        e = err.value
+        assert (e.level, e.exponent, e.needed, e.available) == (8, 8, 256, 0)
 
     def test_bounds_come_from_t0(self):
         spectrum = harmonic_spectrum(10000)
