@@ -105,10 +105,7 @@ def permutation_matrix(perm):
     n = len(p)
     if sorted(p) != list(range(1, n + 1)):
         raise ValueError(f"not a bijection on 1..{n}: {p}")
-    u = np.zeros((n, n))
-    for i, image in enumerate(p):
-        u[i, image - 1] = 1.0
-    return u
+    return np.eye(n)[np.array(p, dtype=int) - 1]  # row i is e_{perm(i)}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ unconditional constant the maximum over all index subsets.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,12 +72,7 @@ class ConstantEstimate:
     evaluations: int
 
     def to_json(self):
-        return {
-            "value": self.value,
-            "mode": self.mode,
-            "witness": list(self.witness),
-            "evaluations": self.evaluations,
-        }
+        return dict(asdict(self), witness=list(self.witness))
 
 
 @dataclass(frozen=True)
@@ -131,16 +126,19 @@ def natural_projection(pair, indices):
 def _masked_norms(f, gstar, masks, known=None):
     """Spectral norms of F diag(mask) G* for a (batch, n) stack of 0/1 masks.
 
-    With Gf = F^T F, Gg = G* G*^T and D the support of a mask,
-    ||F P_D G*||^2 = lambda_max(M) with M = C^T Gg[D,D] C for the Cholesky
-    factor C C^T = Gf[D,D], so each norm costs a |D| x |D| symmetric eigenvalue
-    problem instead of an n x n SVD. Masks are grouped by |D|; a group whose
-    Gf[D,D] is not numerically positive definite falls back to the SVD.
+    With Gf = F^T F, Gg = G* G*^T and S the support D of a mask, or its
+    complement when n/2 < |D| < n, ||F P_D G*||^2 = lambda_max(M) with
+    M = C^T Gg[S,S] C for the Cholesky factor C C^T = Gf[S,S]: an idempotent
+    other than 0 and I has ||Q_D|| = ||I - Q_D|| = ||Q_{D^c}||, here to the
+    pair tolerance PAIR_TOL. Each norm costs a min(|D|, n - |D|) square
+    symmetric eigenvalue problem instead of an n x n SVD. Masks are grouped
+    by |D|; a group whose Gf[S,S] is not numerically positive definite falls
+    back to the SVD.
 
     Given *known*, each M whose bound 1 + ||(M - I)^4||_F^(1/4) on
     lambda_max falls below the larger of *known* and the norms found so far
     is not solved: its mask gets -inf. The bound holds for any symmetric M
-    and is tight here: as F P_D G* is idempotent, every eigenvalue of M is
+    and is tight here: as F P_S G* is idempotent, every eigenvalue of M is
     >= 1, and M - I drops the unit eigenvalues. The 1e-9 relative margin on
     lambda is far above the rounding of the bound and of eigvalsh, so a
     pruned mask is provably below that norm, and the other masks get the
@@ -154,26 +152,32 @@ def _masked_norms(f, gstar, masks, known=None):
     """
     gf = f.T @ f
     gg = gstar @ gstar.T
+    n = masks.shape[1]
     sizes = np.count_nonzero(masks, axis=1)
     out = np.zeros(masks.shape[0])
     for d in np.unique(sizes[sizes > 0]):
         rows = np.flatnonzero(sizes == d)
-        idx = np.nonzero(masks[rows])[1].reshape(rows.size, d)
-        block = (idx[:, :, None], idx[:, None, :])
+        flip = d < n < 2 * d  # S = D^c, the smaller side: the mask's zeros
+        idx = np.nonzero(masks[rows] != flip)[1].reshape(rows.size, n - d if flip else d)
+        flat = idx[:, :, None] * n + idx[:, None, :]  # the S x S blocks, flattened
         try:
-            c = np.linalg.cholesky(gf[block])
+            c = np.linalg.cholesky(np.take(gf, flat))
         except np.linalg.LinAlgError:
             out[rows] = [_attained(f, gstar, mask) for mask in masks[rows]]
             continue
-        m = np.swapaxes(c, 1, 2) @ gg[block] @ c
-        del idx, block, c  # hold only M from here on
+        m = np.take(gg, flat)
+        del flat  # at most three batch-sized arrays are live at a time
+        m = np.swapaxes(c, 1, 2) @ m
+        m = m @ c
+        del c  # hold only M from here on
         if known is not None:
             known = max(known, out.max())  # >= 0, as this group's rows are still 0
-            e = m - np.eye(d)
-            e = e @ e
-            e = e @ e
+            e = m.copy()
+            e.reshape(len(e), -1)[:, :: e.shape[1] + 1] -= 1.0  # E = M - I
+            e2 = np.matmul(e, e, out=np.empty_like(e))
+            np.matmul(e2, e2, out=e)  # E^4
             keep = 1.0 + np.einsum("ijk,ijk->i", e, e) ** 0.125 >= known ** 2 * (1 - 1e-9)
-            del e
+            del e, e2
             out[rows[~keep]] = -np.inf
             rows, m = rows[keep], m[keep]
         out[rows] = np.sqrt(np.linalg.eigvalsh(m)[:, -1])
@@ -206,11 +210,14 @@ def _batches(masks):
 
 
 def _subset_batches(n):
-    """Masks of all 2^n subsets (bit i of the code selects index i+1), built
-    _BATCH at a time so that memory stays bounded."""
+    """One mask of each complementary pair, _BATCH at a time so that memory
+    stays bounded: the nonempty subsets without index n (bit i of the code
+    selects index i+1), then the full set in place of the empty one. A subset
+    stands for its complement, as ||Q_D|| = ||Q_{D^c}|| to PAIR_TOL."""
     bits = np.arange(n)
-    for start in range(0, 2 ** n, _BATCH):
-        codes = np.arange(start, min(start + _BATCH, 2 ** n))
+    for start in range(1, 2 ** (n - 1) + 1, _BATCH):
+        codes = np.arange(start, min(start + _BATCH, 2 ** (n - 1) + 1))
+        codes[codes == 2 ** (n - 1)] = 2 ** n - 1  # {n} pairs with code 2^(n-1) - 1
         yield ((codes[:, None] >> bits) & 1).astype(float)
 
 
@@ -249,9 +256,7 @@ def unconditional_constant(pair, budget=SearchBudget()):
     evaluations = n + budget.samples
 
     while True:
-        flips = np.repeat(best_mask[None, :], n, axis=0)
-        idx = np.arange(n)
-        flips[idx, idx] = 1.0 - flips[idx, idx]
+        flips = np.abs(best_mask - np.eye(n))  # row i flips index i+1
         evaluations += n
         value, mask = _best_mask(f, gstar, [flips], floor=best_value * (1 + GREEDY_RTOL))
         if mask is None:
@@ -312,15 +317,10 @@ def summing_counterexample(n):
     """
     if not 1 <= n <= 2 ** HAAR_MAX_LEVEL:
         raise ValueError(f"n must lie in 1..{2 ** HAAR_MAX_LEVEL}, got {n}")
-    f = np.zeros((n, n))
+    f = np.eye(n, k=1) - np.eye(n)
     f[0, 0] = 1.0
-    for i in range(1, n):
-        f[i, i] = -1.0
-        f[i - 1, i] = 1.0
-    gstar = np.zeros((n, n))
-    gstar[0, :] = 1.0
-    for i in range(1, n):
-        gstar[i, i:] = -1.0
+    gstar = np.triu(-np.ones((n, n)))
+    gstar[0] = 1.0
     return BasisPair(f=f, gstar=gstar)
 
 

@@ -43,27 +43,27 @@ class SpectrumSequence:
         return int(self.values.shape[0])
 
 
-# Most values a generated spectrum may hold (80 MB of float64).
+# Most values a generated spectrum (80 MB of float64) or a refined grid may hold.
 MAX_SPECTRUM_LENGTH = 10 ** 7
 
 
-def _positions(n):
-    """k = 1..n for a generated spectrum, refused above MAX_SPECTRUM_LENGTH."""
+def _capped(n, what):
+    """The length *n*, refused above MAX_SPECTRUM_LENGTH before any allocation."""
     if n > MAX_SPECTRUM_LENGTH:
-        raise ValueError(f"spectrum length must be at most {MAX_SPECTRUM_LENGTH}, got {n}")
-    return np.arange(1, n + 1)
+        raise ValueError(f"{what} must be at most {MAX_SPECTRUM_LENGTH}, got {n}")
+    return n
 
 
 def harmonic_spectrum(n):
     """lambda_k = 1/k for k = 1..n."""
-    return SpectrumSequence(1.0 / _positions(n))
+    return SpectrumSequence(1.0 / np.arange(1, _capped(n, "spectrum length") + 1))
 
 
 def geometric_spectrum(r, n):
     """lambda_k = r^k for k = 1..n, 0 < r < 1."""
     if not 0 < r < 1:
         raise ValueError("ratio must lie in (0, 1)")
-    return SpectrumSequence(r ** _positions(n))
+    return SpectrumSequence(r ** np.arange(1, _capped(n, "spectrum length") + 1))
 
 
 def parse_spectrum(text):
@@ -176,19 +176,23 @@ def segment_cut(mu, max_ratio):
 
     Each segment [mu_{n+1}, mu_n] is split into the minimal number
     ceil(log(mu_n/mu_{n+1}) / log(max_ratio)) of equal-ratio subsegments;
-    input points are preserved exactly.
+    input points are preserved exactly. A grid of more than
+    MAX_SPECTRUM_LENGTH points is refused before any point is made.
     """
-    if max_ratio <= 1:
-        raise ValueError(f"ratio bound must exceed 1, got {max_ratio}")
+    if not 1 < max_ratio < math.inf:  # NaN fails too
+        raise ValueError(f"ratio bound must be finite and exceed 1, got {max_ratio}")
     pts = [float(x) for x in mu]
-    if not pts or min(pts) <= 0 or any(b >= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("grid must be strictly decreasing and positive")
+    segments = list(zip(pts, pts[1:]))
+    if not pts or not all(0 < x < math.inf for x in pts) or any(
+            not 1 < a / b < math.inf for a, b in segments):
+        raise ValueError("grid must be strictly decreasing and positive, with finite "
+                         "values and ratios")
+    pieces = [max(1, math.ceil(math.log(a / b) / math.log(max_ratio) - 1e-12))
+              for a, b in segments]
+    _capped(1 + sum(pieces), "refined grid length")
     out = [pts[0]]
-    for a, b in zip(pts, pts[1:]):
-        ratio = a / b
-        pieces = max(1, math.ceil(math.log(ratio) / math.log(max_ratio) - 1e-12))
-        for i in range(1, pieces):
-            out.append(a * (b / a) ** (i / pieces))
+    for (a, b), p in zip(segments, pieces):
+        out.extend(a * (b / a) ** (i / p) for i in range(1, p))
         out.append(b)
     return out
 

@@ -162,7 +162,11 @@ def test_block_alpha_outside_range_writes_nothing(tmp_path, capsys):
      "n must lie in 1..4096, got 4097"),
     (["profile", "--spectrum", "harmonic:10000001", "--delta", "2", "--ts", "1"],
      "spectrum length must be at most 10000000, got 10000001"),
-], ids=["counterexample", "profile"])
+    (["cut", "--mu", "1,0.1", "--max-ratio", "1.0000001"],
+     "refined grid length must be at most 10000000, got 23025854"),
+    (["cut", "--mu", "inf,1", "--max-ratio", "2"], "grid must be strictly decreasing"),
+    (["cut", "--mu", "1,0.1", "--max-ratio", "nan"], "ratio bound must be finite and exceed 1"),
+], ids=["counterexample", "profile", "cut-length", "cut-inf", "cut-nan"])
 def test_sizes_above_limit_exit_code(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     code = main(argv)

@@ -157,6 +157,18 @@ class TestBasisConstant:
         q = natural_projection(pair, est.witness)
         assert np.linalg.norm(q, 2) == pytest.approx(est.value, abs=1e-9)
 
+    def test_olevskii_blocks_beyond_enumeration(self):
+        # the level trend of the weighted Haar blocks up to N = 512, where
+        # prefixes longer than N/2 are solved through their suffixes
+        trend = [1.0, 1.025, 1.0697, 1.1247, 1.1840, 1.2442, 1.3033, 1.3603, 1.4147]
+        for k, want in enumerate(trend, start=1):
+            pair = olevskii_block(k, 0.8)
+            est = basis_constant(pair)
+            assert est.value == pytest.approx(want, abs=5e-5)
+            assert est.witness == tuple(range(1, len(est.witness) + 1))
+            q = natural_projection(pair, est.witness)
+            assert np.linalg.norm(q, 2) == pytest.approx(est.value, rel=1e-12)
+
 
 class TestUnconditionalConstant:
     def test_identity_exact(self):
@@ -167,6 +179,16 @@ class TestUnconditionalConstant:
     def test_unitary_exact_one(self):
         est = unconditional_constant(biorthogonal_inverse(haar_matrix(3)))
         assert est.value == pytest.approx(1.0, abs=1e-10)
+
+    def test_exact_matches_brute_force(self):
+        rng = np.random.default_rng(70)
+        for pair in [random_pair(rng, n) for n in (1, 2, 5, 8)] + [cholesky_fallback_pair()]:
+            est = unconditional_constant(pair)
+            assert est.mode == "Exact"
+            assert est.evaluations == 2 ** pair.size
+            assert est.value == pytest.approx(brute_unconditional(pair), rel=1e-12)
+            # the enumerated member of each complementary pair lacks index N
+            assert pair.size not in est.witness or len(est.witness) == pair.size
 
     def test_olevskii_block_matches_brute_force(self):
         pair = olevskii_block(2, 0.8)
@@ -458,6 +480,24 @@ class TestMaskedNormKernel:
         exact = unconditional_constant(pair)
         assert exact.value == pytest.approx(brute_unconditional(pair), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [5, 6, 9, 12])
+    def test_every_mask_size_matches_svd(self, n):
+        # all 2^n subsets: sizes on both sides of n/2, solved on D or on its
+        # complement, and the empty and full sets (the kappa = 1e6 and
+        # Cholesky fallback pairs run on all their subsets in this class)
+        pair = random_pair(np.random.default_rng(60 + n), n)
+        assert_kernel_matches(pair.f, pair.gstar, all_subset_masks(n))
+
+    def test_solves_on_the_smaller_side(self, monkeypatch):
+        # one eigenvalue problem per size group |D| = 1..9, of size
+        # min(|D|, 9 - |D|), except the full set's
+        dims = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: dims.append(m.shape[-1]) or eigvalsh(m))
+        pair = random_pair(np.random.default_rng(65), 9)
+        _masked_norms(pair.f, pair.gstar, all_subset_masks(9))
+        assert sorted(dims) == [1, 1, 2, 2, 3, 3, 4, 4, 9]
+
     def test_cholesky_failure_falls_back_to_svd(self):
         # columns 1 and 2 are parallel to 1e-10: Gf[D,D] is singular in
         # floating point, yet the pair is invertible
@@ -606,10 +646,10 @@ class TestReportedValues:
             assert est.value == pytest.approx(self.attained(p, est), rel=1e-15, abs=0.0)
 
     def test_exact_counts_every_subset(self):
-        # 2^12 subsets span two kernel batches; every subset appears once
+        # one kernel batch holds a member of each of the 2^11 complementary
+        # pairs; with their complements they are every subset, once
         batches = list(_subset_batches(12))
-        assert len(batches) == 2
-        np.testing.assert_array_equal(np.vstack(batches), all_subset_masks(12)[:, ::-1])
+        assert_one_member_per_complementary_pair(np.vstack(batches), 12)
         rng = np.random.default_rng(46)
         pair = random_pair(rng, 12)
         est = unconditional_constant(pair)
@@ -630,6 +670,20 @@ class TestReportedValues:
         SearchBudget(exact_cutoff=MAX_EXACT_CUTOFF)
         with pytest.raises(ValueError, match="exact cutoff"):
             SearchBudget(exact_cutoff=MAX_EXACT_CUTOFF + 1)
+
+
+def assert_one_member_per_complementary_pair(masks, n):
+    both = np.vstack([masks, 1.0 - masks])
+    assert len(both) == 2 ** n
+    np.testing.assert_array_equal(np.unique(both, axis=0), all_subset_masks(n))
+    assert not masks[:-1, -1].any() and masks[-1].all()  # the full set comes last
+
+
+@pytest.mark.parametrize("n, sizes", [(1, [1]), (2, [2]), (12, [2048]), (13, [2048, 2048])])
+def test_subset_batches_cover_each_complementary_pair_once(n, sizes):
+    batches = list(_subset_batches(n))
+    assert [len(b) for b in batches] == sizes
+    assert_one_member_per_complementary_pair(np.vstack(batches), n)
 
 
 def test_greedy_stops_on_rounding_only_gains():

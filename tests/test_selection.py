@@ -1,6 +1,10 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import schaudermat.selection
 
 from schaudermat import (
     InsufficientCardinalityError,
@@ -245,6 +249,36 @@ class TestSegmentCut:
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError):
             segment_cut([1.0, 0.5], 1.0)
+
+    @pytest.mark.parametrize("ratio", [float("inf"), float("nan")])
+    def test_rejects_non_finite_ratio(self, ratio):
+        with pytest.raises(ValueError, match="ratio bound must be finite and exceed 1"):
+            segment_cut([1.0, 0.5], ratio)
+
+    @pytest.mark.parametrize("mu", [[float("inf"), 1.0], [1.0, float("nan")],
+                                    [float("nan"), 1.0], [1.0, 0.5, 0.5], [1e300, 1e-300]])
+    def test_rejects_non_finite_grid_or_ratio(self, mu):
+        with pytest.raises(ValueError, match="grid must be strictly decreasing"):
+            segment_cut(mu, 2.0)
+
+    @pytest.mark.parametrize("mu, ratio, total", [([1.0, 0.1], 1.0000001, 23025854),
+                                                  ([1.0, 1e-300], 1.0000000001, 6907754707779)])
+    def test_refuses_a_long_grid_before_building_it(self, mu, ratio, total):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"grid length must be at most 10000000, got {total}"):
+                segment_cut(mu, ratio)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+    def test_length_limit_counts_every_point(self, monkeypatch):
+        monkeypatch.setattr(schaudermat.selection, "MAX_SPECTRUM_LENGTH", 5)
+        assert len(segment_cut([1.0, 0.1], 2.0)) == 5
+        monkeypatch.setattr(schaudermat.selection, "MAX_SPECTRUM_LENGTH", 4)
+        with pytest.raises(ValueError, match="grid length must be at most 4, got 5"):
+            segment_cut([1.0, 0.1], 2.0)
 
 
 class TestRatioLimitCheck:
