@@ -86,6 +86,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.samples < 0:
             raise ValueError(f"samples must be >= 0, got {self.samples}")
+        if self.exact_cutoff < 0:
+            raise ValueError(f"exact cutoff must be >= 0, got {self.exact_cutoff}")
         if self.exact_cutoff > MAX_EXACT_CUTOFF:
             raise ValueError(f"exact cutoff {self.exact_cutoff} exceeds the limit "
                              f"{MAX_EXACT_CUTOFF} (exact enumeration evaluates 2^N subsets)")
@@ -184,12 +186,13 @@ def _masked_norms(f, gstar, masks, known=None):
     return out
 
 
-def _best_mask(f, gstar, batches, floor=-np.inf):
+def _best_mask(f, gstar, batches, floor=-np.inf, ceiling=np.inf):
     """(kernel norm, mask) of the first largest norm above *floor* in an
     iterable of mask stacks, or (floor, None) if no norm exceeds it.
 
     Each batch is screened by the bound of _masked_norms against the best
     norm so far, which leaves the first largest norm and its mask unchanged.
+    No batch is drawn once the best norm is >= *ceiling*.
     """
     best_value, best_mask = floor, None
     for masks in batches:
@@ -197,7 +200,19 @@ def _best_mask(f, gstar, batches, floor=-np.inf):
         i = int(np.argmax(norms))
         if norms[i] > best_value:
             best_value, best_mask = float(norms[i]), masks[i]
+        if best_value >= ceiling:
+            break
     return best_value, best_mask
+
+
+def _upper_bound(f, gstar):
+    """(kappa + 1/kappa) / 2 >= every ||F P_D G*||, kappa = ||F W|| ||W^-1 G*|| for the
+    column-balancing W, w_i = (||g_i|| / ||f_i||)^(1/2): ||Q_D|| = 1 / sin of the angle
+    between F(E_D) and F(E_D^c) (Szyld 2006), which the Wielandt inequality bounds
+    (Bauer & Householder 1960), and W leaves every Q_D unchanged."""
+    w = np.sqrt(np.linalg.norm(gstar, axis=1) / np.linalg.norm(f, axis=0))
+    kappa = np.linalg.norm(f * w, 2) * np.linalg.norm(gstar / w[:, None], 2)
+    return (kappa + 1 / kappa) / 2
 
 
 def _attained(f, gstar, mask):
@@ -239,8 +254,9 @@ def unconditional_constant(pair, budget=SearchBudget()):
 
     Exhaustive (mode Exact) for N <= budget.exact_cutoff; otherwise a seeded
     lower-bound search over prefixes, random subsets and greedy single-index
-    flips (mode LowerBoundWitness). The search compares kernel norms; the
-    reported value is the winning witness's norm recomputed by SVD.
+    flips (mode LowerBoundWitness). The search compares kernel norms and ends
+    once its best is within GREEDY_RTOL of _upper_bound; the reported value
+    is the winning witness's norm recomputed by SVD.
     """
     n = pair.size
     f, gstar = pair.f, pair.gstar
@@ -249,13 +265,15 @@ def unconditional_constant(pair, budget=SearchBudget()):
         return _estimate(f, gstar, mask, "Exact", 2 ** n)
 
     rng = np.random.default_rng(budget.seed)
+    starts = iter(range(0, budget.samples, _BATCH))  # left at the first batch not drawn
     sampled = (rng.integers(0, 2, size=(min(_BATCH, budget.samples - start), n)).astype(float)
-               for start in range(0, budget.samples, _BATCH))
+               for start in starts)
+    ceiling = _upper_bound(f, gstar) / (1 + GREEDY_RTOL)
     best_value, best_mask = _best_mask(
-        f, gstar, itertools.chain(_batches(np.tril(np.ones((n, n)))), sampled))
-    evaluations = n + budget.samples
+        f, gstar, itertools.chain(_batches(np.tril(np.ones((n, n)))), sampled), ceiling=ceiling)
+    evaluations = n + next(starts, budget.samples)  # and n per greedy round below
 
-    while True:
+    while best_value < ceiling:
         flips = np.abs(best_mask - np.eye(n))  # row i flips index i+1
         evaluations += n
         value, mask = _best_mask(f, gstar, [flips], floor=best_value * (1 + GREEDY_RTOL))

@@ -350,6 +350,20 @@ def test_exact_cutoff_above_limit_exit_code(tmp_path, capsys):
     assert "exact cutoff 64 exceeds the limit" in captured.err
 
 
+@pytest.mark.parametrize("command", ["constants", "demo-harmonic"])
+def test_negative_exact_cutoff_exit_code(tmp_path, capsys, command):
+    with pytest.raises(ValueError, match="exact cutoff must be >= 0"):
+        SearchBudget(exact_cutoff=-1)
+    mat = tmp_path / "id4.mtx"
+    save_matrix(mat, np.eye(4))
+    args = ["--matrix", str(mat)] if command == "constants" else ["--levels", "2"]
+    code = main([command, *args, "--exact-cutoff", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "exact cutoff must be >= 0, got -1" in captured.err
+
+
 def test_unknown_command_exit_code(capsys):
     assert main(["no-such-command"]) == 1
 

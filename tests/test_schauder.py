@@ -26,11 +26,14 @@ from schaudermat import (
     unconditional_constant,
 )
 from schaudermat.schauder import (
+    _BATCH,
+    GREEDY_RTOL,
     MAX_EXACT_CUTOFF,
     PAIR_TOL,
     _best_mask,
     _masked_norms,
     _subset_batches,
+    _upper_bound,
 )
 
 
@@ -598,15 +601,17 @@ class TestScreenedArgmax:
         assert value == top and mask is not None
 
     def test_screen_prunes_most_eigen_solves(self, monkeypatch):
-        # guards against the screen degrading into a full evaluation: 305 of
-        # the 20 128 masks reach eigvalsh, 2 430 with the bound 1 + ||E^2||_F^(1/2)
+        # guards against the screen degrading into a full evaluation: 247 of
+        # the 20 064 prefixes and samples of the unstopped search reach
+        # eigvalsh, 2 363 with the bound 1 + ||E^2||_F^(1/2)
         pair, _ = seeded_sections(101)
+        batches = list(search_batches(pair.size, SearchBudget(seed=101)))
         solved = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(len(m)) or eigvalsh(m))
-        est = unconditional_constant(pair, SearchBudget(seed=101))
-        assert est.evaluations == 20128
-        assert sum(solved) < 0.05 * est.evaluations
+        _best_mask(pair.f, pair.gstar, batches)
+        assert sum(map(len, batches)) == 20064
+        assert sum(solved) < 0.05 * 20064
 
     def test_traced_peak_memory(self):
         # Limits in MiB under tracemalloc with numpy 2.4; allow 10% more.
@@ -686,14 +691,92 @@ def test_subset_batches_cover_each_complementary_pair_once(n, sizes):
     assert_one_member_per_complementary_pair(np.vstack(batches), n)
 
 
+def with_dual_block(alpha):
+    """block_sum(5) plus the dual of the level-3 block of *alpha*, whose
+    column-balanced norms are those of that block swapped. At alpha = 0.8
+    and 0.83 this lifts the upper bound above the constant 1.4255, to 1.4815
+    and 1.4336, so the search can never reach it."""
+    b3 = olevskii_block(3, alpha)
+    pair = block_sum(5)
+    return BasisPair(f=direct_sum([pair.f, b3.gstar.T]), gstar=direct_sum([pair.gstar, b3.f.T]))
+
+
 def test_greedy_stops_on_rounding_only_gains():
-    # Many flips of the block-diagonal level-5 harmonic prefix pair tie in
-    # exact arithmetic; a flip that wins by a few ulps must not buy another
-    # round of n norms (20 062 samples and prefixes + one round of 62).
-    blocks = [olevskii_block(k, 0.8) for k in range(1, 6)]
-    pair = BasisPair(f=direct_sum([b.f for b in blocks]),
-                     gstar=direct_sum([b.gstar for b in blocks]))
-    est = unconditional_constant(pair, SearchBudget(seed=101))
+    # Greedy ends on its own here, and many flips tie in exact arithmetic; a
+    # flip that wins by a few ulps must not buy another round of n norms
+    # (70 prefixes + 100 samples + two rounds of 70; 450 without the margin).
+    pair = with_dual_block(0.8)
+    est = unconditional_constant(pair, SearchBudget(samples=100, seed=0))
     assert est.mode == "LowerBoundWitness"
-    assert est.evaluations == 20124
+    assert est.value * (1 + GREEDY_RTOL) < _upper_bound(pair.f, pair.gstar)
+    assert est.evaluations == 310
     assert est.value == pytest.approx(1.425503125, rel=1e-12)
+
+
+def search_batches(n, budget):
+    """The sampled search's mask stacks: the n prefixes, then budget.samples
+    seeded random masks, _BATCH at a time."""
+    rng = np.random.default_rng(budget.seed)
+    yield np.tril(np.ones((n, n)))
+    for start in range(0, budget.samples, _BATCH):
+        yield rng.integers(0, 2, size=(min(_BATCH, budget.samples - start), n)).astype(float)
+
+
+class TestUpperBound:
+    """_upper_bound is (kappa + 1/kappa) / 2 for the column-balanced kappa."""
+
+    def test_at_least_the_exact_constant(self):
+        rng = np.random.default_rng(70)
+        pairs = [random_pair(rng, n, kappa=k) for n in range(1, 11)
+                 for k in (1.5, 10.0, 100.0, 1e3, 1e6)]
+        pairs += [random_pair(np.random.default_rng(44), 10, kappa=1e6), cholesky_fallback_pair()]
+        for pair in pairs:
+            exact = unconditional_constant(pair)
+            assert exact.mode == "Exact"
+            assert _upper_bound(pair.f, pair.gstar) >= exact.value * (1 - 1e-12)
+
+    def test_invariant_under_diagonal_and_orthogonal_transforms(self):
+        rng = np.random.default_rng(71)
+        pair = random_pair(rng, 12, kappa=100.0)
+        bound = _upper_bound(pair.f, pair.gstar)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        d = rng.choice([-1.0, 1.0], 12) * np.geomspace(0.1, 10.0, 12)
+        for out in (transform_right_diagonal(pair, d), transform_left(q, pair)):
+            assert _upper_bound(out.f, out.gstar) == pytest.approx(bound, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.75, 0.8, 0.95])
+    def test_olevskii_block_closed_form(self, alpha):
+        # kappa(T A^T) = alpha^(1 - k), and the balancing leaves it there
+        for k in range(1, 10):
+            pair = olevskii_block(k, alpha)
+            assert _upper_bound(pair.f, pair.gstar) == pytest.approx(
+                math.cosh((k - 1) * math.log(1 / alpha)), rel=1e-12)
+
+
+class TestSearchStop:
+    """The sampled search ends once its best reaches the upper bound."""
+
+    @pytest.mark.parametrize("name", ["L4", "L5", "N64"])
+    def test_stopped_search_keeps_the_value(self, name):
+        budget = SearchBudget(seed=101)
+        pair = {"L4": block_sum(4), "L5": block_sum(5), "N64": seeded_sections(101)[0]}[name]
+        est = unconditional_constant(pair, budget)
+        unstopped, _ = _best_mask(pair.f, pair.gstar, search_batches(pair.size, budget))
+        assert est.value == pytest.approx(unstopped, rel=GREEDY_RTOL)
+        assert est.evaluations <= pair.size + _BATCH
+
+    @pytest.mark.parametrize("pair, seed, rounds, witness", [
+        (random_pair(np.random.default_rng(54), 24, kappa=100.0), 54, 8,
+         (1, 2, 3, 4, 6, 13, 17, 19, 20, 21)),
+        (with_dual_block(0.83), 0, 1,
+         (5, 7, 11, 12, 13, 17, 25, 29, 33, 37, 38, 39, 42, 44, 45, 46, 47, 50, 52, 54, 55, 58,
+          60, 61, 66, 67, 69)),
+    ], ids=["random", "dual-block"])
+    def test_unreached_bound_keeps_the_full_search(self, pair, seed, rounds, witness):
+        # the evaluations and witness of the search without the stop: n
+        # prefixes, 3 000 samples in two batches and the greedy rounds; the
+        # dual-block pair ends 0.56 % below its bound
+        est = unconditional_constant(pair, SearchBudget(samples=3000, seed=seed))
+        assert est.value * (1 + GREEDY_RTOL) < _upper_bound(pair.f, pair.gstar)
+        assert est.evaluations == pair.size + 3000 + rounds * pair.size
+        assert est.witness == witness
