@@ -32,6 +32,9 @@ GREEDY_RTOL = 1e-12
 # Number of masks evaluated per vectorized kernel call.
 _BATCH = 2048
 
+# Most values per array that _masked_norms gathers (8 MiB of float64).
+_GATHERED = 2 ** 20
+
 # Largest Haar level k; 2^k = 4096 also bounds every other generated section.
 HAAR_MAX_LEVEL = 12
 
@@ -134,8 +137,8 @@ def _masked_norms(f, gstar, masks, known=None):
     other than 0 and I has ||Q_D|| = ||I - Q_D|| = ||Q_{D^c}||, here to the
     pair tolerance PAIR_TOL. Each norm costs a min(|D|, n - |D|) square
     symmetric eigenvalue problem instead of an n x n SVD. Masks are grouped
-    by |D|; a group whose Gf[S,S] is not numerically positive definite falls
-    back to the SVD.
+    by |D|, in chunks of _GATHERED values; a chunk whose Gf[S,S] is not
+    numerically positive definite falls back to the SVD.
 
     Given *known*, each M whose bound 1 + ||(M - I)^4||_F^(1/4) on
     lambda_max falls below the larger of *known* and the norms found so far
@@ -158,31 +161,34 @@ def _masked_norms(f, gstar, masks, known=None):
     sizes = np.count_nonzero(masks, axis=1)
     out = np.zeros(masks.shape[0])
     for d in np.unique(sizes[sizes > 0]):
-        rows = np.flatnonzero(sizes == d)
         flip = d < n < 2 * d  # S = D^c, the smaller side: the mask's zeros
-        idx = np.nonzero(masks[rows] != flip)[1].reshape(rows.size, n - d if flip else d)
-        flat = idx[:, :, None] * n + idx[:, None, :]  # the S x S blocks, flattened
-        try:
-            c = np.linalg.cholesky(np.take(gf, flat))
-        except np.linalg.LinAlgError:
-            out[rows] = [_attained(f, gstar, mask) for mask in masks[rows]]
-            continue
-        m = np.take(gg, flat)
-        del flat  # at most three batch-sized arrays are live at a time
-        m = np.swapaxes(c, 1, 2) @ m
-        m = m @ c
-        del c  # hold only M from here on
-        if known is not None:
-            known = max(known, out.max())  # >= 0, as this group's rows are still 0
-            e = m.copy()
-            e.reshape(len(e), -1)[:, :: e.shape[1] + 1] -= 1.0  # E = M - I
-            e2 = np.matmul(e, e, out=np.empty_like(e))
-            np.matmul(e2, e2, out=e)  # E^4
-            keep = 1.0 + np.einsum("ijk,ijk->i", e, e) ** 0.125 >= known ** 2 * (1 - 1e-9)
-            del e, e2
-            out[rows[~keep]] = -np.inf
-            rows, m = rows[keep], m[keep]
-        out[rows] = np.sqrt(np.linalg.eigvalsh(m)[:, -1])
+        size = n - d if flip else d
+        group = np.flatnonzero(sizes == d)
+        step = max(1, _GATHERED // size ** 2)
+        for rows in np.split(group, range(step, group.size, step)):
+            idx = np.nonzero(masks[rows] != flip)[1].reshape(rows.size, size)
+            flat = idx[:, :, None] * n + idx[:, None, :]  # the S x S blocks, flattened
+            try:
+                c = np.linalg.cholesky(np.take(gf, flat))
+            except np.linalg.LinAlgError:
+                out[rows] = [_attained(f, gstar, mask) for mask in masks[rows]]
+                continue
+            m = np.take(gg, flat)
+            del flat  # at most three chunk-sized arrays are live at a time
+            m = np.swapaxes(c, 1, 2) @ m
+            m = m @ c
+            del c  # hold only M from here on
+            if known is not None:
+                known = max(known, out.max())  # >= 0, as this chunk's rows are still 0
+                e = m.copy()
+                e.reshape(len(e), -1)[:, :: e.shape[1] + 1] -= 1.0  # E = M - I
+                e2 = np.matmul(e, e, out=np.empty_like(e))
+                np.matmul(e2, e2, out=e)  # E^4
+                keep = 1.0 + np.einsum("ijk,ijk->i", e, e) ** 0.125 >= known ** 2 * (1 - 1e-9)
+                del e, e2
+                out[rows[~keep]] = -np.inf
+                rows, m = rows[keep], m[keep]
+            out[rows] = np.sqrt(np.linalg.eigvalsh(m)[:, -1])
     return out
 
 

@@ -7,6 +7,7 @@ harmonic demo chains selection, assembly and constant computation for the
 diagonal operator diag(1, 1/2, 1/3, ...).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,8 +75,10 @@ def parse_spectrum(text):
         _, r, n = text.split(":")
         return geometric_spectrum(float(r), int(n))
     with open(text, "r", encoding="ascii") as fh:
-        vals = [float(line) for line in fh if line.strip() and not line.startswith("#")]
-    return SpectrumSequence(np.array(vals))
+        lines = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
+        vals = np.fromiter(map(float, itertools.islice(lines, MAX_SPECTRUM_LENGTH + 1)), float)
+    _capped(vals.size, "spectrum file values read")
+    return SpectrumSequence(vals)
 
 
 def _window(values, top, delta):

@@ -13,9 +13,14 @@ from .kernel import as_matrix
 
 def save_matrix(path, m):
     a = as_matrix(m)
-    # An open file, so that numpy never gzips a path ending in .gz
+    # %.17g spells a cell 0 unless it is nonzero or -0.0, so only those cells
+    # are formatted: a row's format holds %.17g there and a literal 0 elsewhere.
+    cells = (a != 0) | np.signbit(a)
     with open(path, "w", encoding="ascii") as fh:
-        np.savetxt(fh, a, fmt="%.17g", header=f"{a.shape[0]} {a.shape[1]}", comments="")
+        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
+        for row, c in zip(a, cells):
+            fmt = np.where(c, b"x ", b"0 ").tobytes().decode().replace("x", "%.17g")
+            fh.write(fmt[:-1] % tuple(row[c].tolist()) + "\n")
 
 
 def _parse(lines, cols):

@@ -13,11 +13,15 @@ from schaudermat import (
     load_matrix,
     olevskii_block,
     parse_spectrum,
+    polar_decompose,
     quasinormality_bounds,
     riesz_diagnostic,
     save_matrix,
     segment_cut,
+    summing_counterexample,
+    transform_right_diagonal,
     unconditional_constant,
+    weight_matrix,
 )
 from schaudermat.cli import build_parser, main
 
@@ -254,6 +258,14 @@ def test_profile_command(capsys):
     assert json.loads(out)["counts"] == [11, 101]
 
 
+def test_profile_spectrum_file_with_indented_comment(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text("# harmonic\n" + "".join(f"{1 / k!r}\n" for k in range(1, 501)) + "  # note\n")
+    code, out = run(capsys, "profile", "--spectrum", str(path), "--delta", "2", "--ts", "0.1,0.01")
+    assert code == 0
+    assert json.loads(out)["counts"] == [11, 101]
+
+
 def test_select_and_validate_roundtrip(tmp_path, capsys):
     plan_file = tmp_path / "plan.json"
     code, out = run(
@@ -386,3 +398,44 @@ def test_json_reports_are_byte_identical(tmp_path, capsys):
     code, second = run(capsys, *args)
     assert code == 0
     assert first == second
+
+
+def reference_text(m):
+    """The matrix file of *m* written one format(x, ".17g") at a time."""
+    return f"{m.shape[0]} {m.shape[1]}\n" + "".join(
+        " ".join(format(x, ".17g") for x in row) + "\n" for row in m.tolist())
+
+
+def polar_factors(mat):
+    factors = polar_decompose(load_matrix(mat))
+    return [factors.unitary, factors.positive]
+
+
+def transformed(mat):
+    # -0.5 turns the zeros of F's second column and G*'s second row into -0.0
+    pair = transform_right_diagonal(biorthogonal_inverse(load_matrix(mat)), [2.0, -0.5, 1.0, 3.0])
+    return [pair.f, pair.gstar]
+
+
+@pytest.mark.parametrize("argv, outs, expected", [
+    (["haar", "--k", "3"], ["--out"], lambda mat: [haar_matrix(3)]),
+    (["weight", "--k", "3", "--alpha", "0.8"], ["--out"],
+     lambda mat: [weight_matrix(3, 0.8)]),
+    (["block", "--k", "3", "--alpha", "0.8"], ["--out-f", "--out-gstar"],
+     lambda mat: [olevskii_block(3, 0.8).f, olevskii_block(3, 0.8).gstar]),
+    (["counterexample", "--n", "5"], ["--out-f", "--out-gstar"],
+     lambda mat: [summing_counterexample(5).f, summing_counterexample(5).gstar]),
+    (["polar", "--matrix", "MAT"], ["--out-unitary", "--out-positive"], polar_factors),
+    (["transform", "--matrix", "MAT", "--diag=2,-0.5,1,3"], ["--out-f", "--out-gstar"],
+     transformed),
+], ids=["haar", "weight", "block", "counterexample", "polar", "transform"])
+def test_written_files_match_per_value_reference(tmp_path, argv, outs, expected):
+    mat = tmp_path / "in.mtx"
+    save_matrix(mat, [[0.0, 3.0, 0.0, -1.0], [2.0, 0.0, 0.5, 0.0],
+                      [0.0, -0.0, 1.0, 0.0], [0.25, 0.0, 0.0, 4.0]])
+    paths = [tmp_path / f"out{i}.mtx" for i in range(len(outs))]
+    argv = [str(mat) if a == "MAT" else a for a in argv]
+    argv += [x for flag, path in zip(outs, paths) for x in (flag, str(path))]
+    assert main(argv) == 0
+    for path, m in zip(paths, expected(mat)):
+        assert path.read_text(encoding="ascii") == reference_text(m)

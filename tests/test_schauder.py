@@ -630,6 +630,24 @@ class TestScreenedArgmax:
                 tracemalloc.stop()
             assert peak / 2 ** 20 <= 1.1 * limit
 
+    def test_large_flip_batch_is_gathered_in_chunks(self):
+        # Flipping each index of a half mask of the N = 256 block makes two
+        # groups of 128 masks with |S| = 127: 2.06e6 gathered values each,
+        # twice _GATHERED. Gathered whole they peaked at 65.3 MiB (MiB under
+        # tracemalloc with numpy 2.4), in chunks of 65 rows at 33.9 MiB.
+        pair = olevskii_block(8, 0.8)
+        flips = np.abs((np.arange(256) < 128) - np.eye(256))
+        tracemalloc.start()
+        try:
+            norms = _masked_norms(pair.f, pair.gstar, flips)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2 ** 20 <= 1.1 * 33.9
+        for i in (0, 64, 65, 127, 128, 192, 193, 255):  # chunk ends in both groups
+            attained = np.linalg.norm((pair.f * flips[i]) @ pair.gstar, 2)
+            assert norms[i] == pytest.approx(attained, rel=1e-12)
+
 
 class TestReportedValues:
     @staticmethod

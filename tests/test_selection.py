@@ -108,6 +108,21 @@ class TestSpectrumSequence:
         s = parse_spectrum(str(path))
         np.testing.assert_allclose(s.values, [1.0, 0.5, 0.25])
 
+    def test_parse_file_skips_indented_comments(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("# sample\n  # note\n 1.0\n\t#tab\n\n0.5 \r\n   \n0.25\n  #")
+        assert parse_spectrum(str(path)).values.tolist() == [1.0, 0.5, 0.25]
+
+    def test_file_length_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(schaudermat.selection, "MAX_SPECTRUM_LENGTH", 3)
+        path = tmp_path / "s.txt"
+        path.write_text("1\n# note\n0.5\n0.25\n")
+        assert len(parse_spectrum(str(path))) == 3
+        # Reading stops at the fourth value: the bad line after it is never parsed.
+        path.write_text("1\n0.5\n0.25\n0.125\nnot a number\n")
+        with pytest.raises(ValueError, match="spectrum file values read must be at most 3, got 4"):
+            parse_spectrum(str(path))
+
 
 class TestCardinalityProfile:
     def test_harmonic_counts(self):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -5,6 +6,13 @@ import numpy as np
 import pytest
 
 from schaudermat import load_matrix, olevskii_block, save_matrix
+from schaudermat.cli import main
+
+
+def reference_text(m):
+    """The matrix file of *m* written one format(x, ".17g") at a time."""
+    return f"{m.shape[0]} {m.shape[1]}\n" + "".join(
+        " ".join(format(x, ".17g") for x in row) + "\n" for row in m.tolist())
 
 
 def test_roundtrip_identity(tmp_path):
@@ -85,13 +93,13 @@ def test_roundtrip_single_row_or_column(tmp_path, shape):
 
 
 def test_matches_per_value_reference(tmp_path):
-    # The per-value writer and reader that numpy's text writer and reader replace
+    # The per-value writer and reader that save_matrix and numpy's text reader replace
     rng = np.random.default_rng(11)
     m = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-320, 300, size=(6, 5))
     m[0, :3] = [0.0, -0.0, 7.0]
     path = tmp_path / "m.mtx"
     save_matrix(path, m)
-    text = "6 5\n" + "".join(" ".join(format(x, ".17g") for x in row) + "\n" for row in m)
+    text = reference_text(m)
     assert path.read_text(encoding="ascii") == text
     reference = np.array([[float(x) for x in line.split()] for line in text.splitlines()[1:]])
     assert load_matrix(path).tobytes() == reference.tobytes() == m.tobytes()
@@ -171,3 +179,43 @@ def test_load_traced_peak_memory(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(loaded, f)
     assert peak / 2 ** 20 <= 16.0
+
+
+@pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
+def test_same_text_as_per_value_reference_at_any_density(tmp_path, density):
+    rng = np.random.default_rng(29)
+    m = rng.standard_normal((40, 30)) * 10.0 ** rng.integers(-300, 300, size=(40, 30))
+    m[rng.random(m.shape) >= density] = 0.0
+    m[7], m[:, 11] = 0.0, 0.0  # an all-zero row and column
+    m[0, 0] = m[0, -1] = m[9, 0] = m[-1, -1] = -0.0  # at the start and end of rows
+    m[1, 0], m[1, 5], m[2, -1] = 5e-324, -2.5e-310, 2.2250738585072009e-308  # subnormals
+    path = tmp_path / "m.mtx"
+    for part in (m, m[:1, :1], m[:1], m[:, :1], m[7:8], m[:, 11:12]):
+        save_matrix(path, part)
+        assert path.read_bytes() == reference_text(part).encode("ascii")
+        assert load_matrix(path).tobytes() == np.ascontiguousarray(part).tobytes()
+
+
+def test_block_files_keep_their_bytes(tmp_path, capsys):
+    # SHA-256 of the k = 10 files as written by np.savetxt at %.17g.
+    f, g = tmp_path / "f.mtx", tmp_path / "g.mtx"
+    assert main(["block", "--k", "10", "--alpha", "0.8", "--out-f", str(f),
+                 "--out-gstar", str(g)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(f.read_bytes()).hexdigest() == (
+        "6d3570acf03ca2d8462b1fc91c0c30821cae2f47896910def6d2734d3e071461")
+    assert hashlib.sha256(g.read_bytes()).hexdigest() == (
+        "6ef50e5fedb5fcf481d352ad74d33e100dc5cf4cfdb666fa771b3d226f10b1ee")
+
+
+def test_save_traced_peak_memory(tmp_path):
+    # The k = 10 block F: np.savetxt peaked at 1.0 MiB, this writer at 2.0 MiB
+    # (its mask of formatted cells); a list of a string per cell takes 8 MiB.
+    f = olevskii_block(10, 0.8).f
+    tracemalloc.start()
+    try:
+        save_matrix(tmp_path / "f.mtx", f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 <= 4.0
