@@ -27,7 +27,6 @@ from .olevskii import (
     haar_matrix,
     keylemma_assemble,
     olevskii_block,
-    projection_blowup_witness,
     rank1_conjugation_witness,
     validate_plan,
     weight_matrix,

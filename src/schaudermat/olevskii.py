@@ -304,15 +304,3 @@ def rank1_conjugation_witness(lambda1, lambda2, delta=0.0):
         )
     return p, norm_value, bound
 
-
-def projection_blowup_witness(pairs):
-    """Witness norms ||A P A^{-1}|| for a list of (lambda_large, lambda_small) pairs.
-
-    With pairs whose ratio lambda_large/lambda_small >= (n+1) 2 sqrt(2), the
-    n-th norm exceeds n: no uniform unconditional constant survives.
-    """
-    norms = []
-    for lam_big, lam_small in pairs:
-        _, value, _ = rank1_conjugation_witness(lam_small, lam_big, delta=0.0)
-        norms.append(value)
-    return norms

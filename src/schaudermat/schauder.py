@@ -70,7 +70,7 @@ class ConstantEstimate:
     """A basis/unconditional constant with its maximizing witness set."""
 
     value: float
-    mode: str  # "Exact" | "LowerBoundWitness"
+    mode: str  # "Exact" (every subset) | "LowerBoundWitness" (sign witness or search)
     witness: tuple  # 1-based indices
     evaluations: int
 
@@ -211,14 +211,21 @@ def _best_mask(f, gstar, batches, floor=-np.inf, ceiling=np.inf):
     return best_value, best_mask
 
 
-def _upper_bound(f, gstar):
-    """(kappa + 1/kappa) / 2 >= every ||F P_D G*||, kappa = ||F W|| ||W^-1 G*|| for the
-    column-balancing W, w_i = (||g_i|| / ||f_i||)^(1/2): ||Q_D|| = 1 / sin of the angle
-    between F(E_D) and F(E_D^c) (Szyld 2006), which the Wielandt inequality bounds
-    (Bauer & Householder 1960), and W leaves every Q_D unchanged."""
+def _sign_witness(f, gstar):
+    """(bound, mask): the Wielandt bound (kappa + 1/kappa) / 2 >= every ||F P_D G*||,
+    kappa = ||F W|| ||W^-1 G*|| for the column-balancing W, w_i = (||g_i|| / ||f_i||)^(1/2),
+    which leaves every Q_D unchanged, and the only D that can attain it, {i : x_i y_i > 0}
+    for x and y in the right singular subspaces of F W for sigma_max and sigma_min:
+    ||Q_D|| = 1 / sin of the angle between F(E_D) and F(E_D^c) (Szyld 2006), and equality
+    needs x + y on D and x - y on D^c (Bauer & Householder 1960). x and y project one fixed
+    generic vector, so a repeated extreme singular value (within GREEDY_RTOL) does not
+    leave D to the basis the SVD returns."""
     w = np.sqrt(np.linalg.norm(gstar, axis=1) / np.linalg.norm(f, axis=0))
-    kappa = np.linalg.norm(f * w, 2) * np.linalg.norm(gstar / w[:, None], 2)
-    return (kappa + 1 / kappa) / 2
+    _, s, vt = np.linalg.svd(f * w)
+    kappa = s[0] * np.linalg.norm(gstar / w[:, None], 2)  # G* inverts F only to PAIR_TOL
+    z = np.random.default_rng(0).standard_normal(len(s))
+    top, bottom = vt[s >= s[0] / (1 + GREEDY_RTOL)], vt[s <= s[-1] * (1 + GREEDY_RTOL)]
+    return (kappa + 1 / kappa) / 2, ((top @ z) @ top * ((bottom @ z) @ bottom) > 0).astype(float)
 
 
 def _attained(f, gstar, mask):
@@ -258,11 +265,11 @@ def basis_constant(pair):
 def unconditional_constant(pair, budget=SearchBudget()):
     """Maximum of ||F P_D G*|| over index subsets D.
 
-    Exhaustive (mode Exact) for N <= budget.exact_cutoff; otherwise a seeded
-    lower-bound search over prefixes, random subsets and greedy single-index
-    flips (mode LowerBoundWitness). The search compares kernel norms and ends
-    once its best is within GREEDY_RTOL of _upper_bound; the reported value
-    is the winning witness's norm recomputed by SVD.
+    Exhaustive (mode Exact) for N <= budget.exact_cutoff. Otherwise (mode
+    LowerBoundWitness) the mask of _sign_witness, if its norm is within GREEDY_RTOL of
+    the bound, after one evaluation; else a seeded search over prefixes, random subsets
+    and greedy single-index flips, which compares kernel norms and ends once its best is
+    within GREEDY_RTOL of the bound. The value is the witness's norm recomputed by SVD.
     """
     n = pair.size
     f, gstar = pair.f, pair.gstar
@@ -270,11 +277,16 @@ def unconditional_constant(pair, budget=SearchBudget()):
         _, mask = _best_mask(f, gstar, _subset_batches(n))
         return _estimate(f, gstar, mask, "Exact", 2 ** n)
 
+    bound, sign_mask = _sign_witness(f, gstar)
+    ceiling = bound / (1 + GREEDY_RTOL)
+    settled = _estimate(f, gstar, sign_mask, "LowerBoundWitness", 1)
+    if settled.value >= ceiling:
+        return settled
+
     rng = np.random.default_rng(budget.seed)
     starts = iter(range(0, budget.samples, _BATCH))  # left at the first batch not drawn
     sampled = (rng.integers(0, 2, size=(min(_BATCH, budget.samples - start), n)).astype(float)
                for start in starts)
-    ceiling = _upper_bound(f, gstar) / (1 + GREEDY_RTOL)
     best_value, best_mask = _best_mask(
         f, gstar, itertools.chain(_batches(np.tril(np.ones((n, n)))), sampled), ceiling=ceiling)
     evaluations = n + next(starts, budget.samples)  # and n per greedy round below

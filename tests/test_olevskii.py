@@ -13,7 +13,6 @@ from schaudermat import (
     harmonic_spectrum,
     keylemma_assemble,
     olevskii_block,
-    projection_blowup_witness,
     quasinormality_bounds,
     rank1_conjugation_witness,
     select_subsets,
@@ -327,23 +326,19 @@ class TestRank1Witness:
 
 
 class TestProjectionBlowup:
-    def test_equal_pair(self):
-        assert projection_blowup_witness([(1.0, 1.0)]) == pytest.approx([1.0])
+    """Spectrum pairs (lambda_small, lambda_large) of growing ratio blow the
+    rank-1 conjugation witness up: no uniform unconditional constant survives."""
 
     def test_blowup_sequence(self):
         scale = 2.0 * math.sqrt(2.0)
-        pairs = [(1.0, 1.0 / (scale * (n + 1))) for n in range(1, 6)]
-        norms = projection_blowup_witness(pairs)
-        for n, value in zip(range(1, 6), norms):
+        for n in range(1, 6):
+            _, value, _ = rank1_conjugation_witness(1.0 / (scale * (n + 1)), 1.0)
             assert value > n
 
     def test_bounded_ratio_no_blowup(self):
-        norms = projection_blowup_witness([(1.0, 0.6), (0.5, 0.3), (0.25, 0.15)])
-        assert all(v < 2.0 for v in norms)
-
-    def test_invalid_pair(self):
-        with pytest.raises(ValueError):
-            projection_blowup_witness([(1.0, 2.0)])
+        for lam_small, lam_big in [(0.6, 1.0), (0.3, 0.5), (0.15, 0.25)]:
+            _, value, _ = rank1_conjugation_witness(lam_small, lam_big)
+            assert value < 2.0
 
 
 def test_weight_exponents_align_with_weight_matrix():

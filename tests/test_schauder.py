@@ -33,7 +33,7 @@ from schaudermat.schauder import (
     _best_mask,
     _masked_norms,
     _subset_batches,
-    _upper_bound,
+    _sign_witness,
 )
 
 
@@ -726,7 +726,7 @@ def test_greedy_stops_on_rounding_only_gains():
     pair = with_dual_block(0.8)
     est = unconditional_constant(pair, SearchBudget(samples=100, seed=0))
     assert est.mode == "LowerBoundWitness"
-    assert est.value * (1 + GREEDY_RTOL) < _upper_bound(pair.f, pair.gstar)
+    assert est.value * (1 + GREEDY_RTOL) < _sign_witness(pair.f, pair.gstar)[0]
     assert est.evaluations == 310
     assert est.value == pytest.approx(1.425503125, rel=1e-12)
 
@@ -741,7 +741,7 @@ def search_batches(n, budget):
 
 
 class TestUpperBound:
-    """_upper_bound is (kappa + 1/kappa) / 2 for the column-balanced kappa."""
+    """The bound of _sign_witness is (kappa + 1/kappa) / 2 for the column-balanced kappa."""
 
     def test_at_least_the_exact_constant(self):
         rng = np.random.default_rng(70)
@@ -751,28 +751,29 @@ class TestUpperBound:
         for pair in pairs:
             exact = unconditional_constant(pair)
             assert exact.mode == "Exact"
-            assert _upper_bound(pair.f, pair.gstar) >= exact.value * (1 - 1e-12)
+            assert _sign_witness(pair.f, pair.gstar)[0] >= exact.value * (1 - 1e-12)
 
     def test_invariant_under_diagonal_and_orthogonal_transforms(self):
         rng = np.random.default_rng(71)
         pair = random_pair(rng, 12, kappa=100.0)
-        bound = _upper_bound(pair.f, pair.gstar)
+        bound = _sign_witness(pair.f, pair.gstar)[0]
         q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
         d = rng.choice([-1.0, 1.0], 12) * np.geomspace(0.1, 10.0, 12)
         for out in (transform_right_diagonal(pair, d), transform_left(q, pair)):
-            assert _upper_bound(out.f, out.gstar) == pytest.approx(bound, rel=1e-12)
+            assert _sign_witness(out.f, out.gstar)[0] == pytest.approx(bound, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.75, 0.8, 0.95])
     def test_olevskii_block_closed_form(self, alpha):
         # kappa(T A^T) = alpha^(1 - k), and the balancing leaves it there
         for k in range(1, 10):
             pair = olevskii_block(k, alpha)
-            assert _upper_bound(pair.f, pair.gstar) == pytest.approx(
+            assert _sign_witness(pair.f, pair.gstar)[0] == pytest.approx(
                 math.cosh((k - 1) * math.log(1 / alpha)), rel=1e-12)
 
 
 class TestSearchStop:
-    """The sampled search ends once its best reaches the upper bound."""
+    """A call that returns at the bound, by the sign witness or the stopped
+    search, keeps the value of the full search."""
 
     @pytest.mark.parametrize("name", ["L4", "L5", "N64"])
     def test_stopped_search_keeps_the_value(self, name):
@@ -795,6 +796,49 @@ class TestSearchStop:
         # prefixes, 3 000 samples in two batches and the greedy rounds; the
         # dual-block pair ends 0.56 % below its bound
         est = unconditional_constant(pair, SearchBudget(samples=3000, seed=seed))
-        assert est.value * (1 + GREEDY_RTOL) < _upper_bound(pair.f, pair.gstar)
+        assert est.value * (1 + GREEDY_RTOL) < _sign_witness(pair.f, pair.gstar)[0]
         assert est.evaluations == pair.size + 3000 + rounds * pair.size
         assert est.witness == witness
+
+
+class TestSignWitness:
+    """A sign witness within GREEDY_RTOL of the bound is returned after one evaluation."""
+
+    @staticmethod
+    def assert_settled(pair, value, budget=SearchBudget(exact_cutoff=0)):
+        est = unconditional_constant(pair, budget)
+        _, mask = _sign_witness(pair.f, pair.gstar)
+        assert (est.mode, est.evaluations) == ("LowerBoundWitness", 1)
+        assert est.witness == tuple(int(i) + 1 for i in np.flatnonzero(mask))
+        assert est.value == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.75, 0.8, 0.95])
+    def test_olevskii_blocks(self, alpha):
+        # the extreme singular values of these blocks are repeated, 2^(k-1)
+        # and 2 times, so the candidate must not depend on the SVD's basis
+        for k in range(2, 10):
+            self.assert_settled(olevskii_block(k, alpha), math.cosh((k - 1) * math.log(1 / alpha)))
+
+    def test_block_sums_rotated_or_not(self):
+        self.assert_settled(block_sum(5), math.cosh(4 * math.log(1.25)), SearchBudget())
+        for pair, levels in zip(seeded_sections(101), (5, 6)):
+            self.assert_settled(pair, math.cosh((levels - 1) * math.log(1.25)),
+                                SearchBudget(seed=101))
+
+    def test_single_singular_value_gives_the_full_set(self):
+        # kappa = 1: both singular subspaces are the whole space, so the
+        # candidate is every index, whose projection I attains the bound 1
+        c, s = math.cos(0.5), math.sin(0.5)
+        pair = biorthogonal_inverse(np.array([[c, -s], [s, c]]))
+        self.assert_settled(pair, 1.0)
+        assert unconditional_constant(pair, SearchBudget(exact_cutoff=0)).witness == (1, 2)
+
+    def test_missed_bound_falls_through_to_the_search(self):
+        # the extreme singular vectors lie in different blocks, so the
+        # candidate misses the bound and the search decides
+        pair = with_dual_block(0.8)
+        bound, mask = _sign_witness(pair.f, pair.gstar)
+        assert np.linalg.norm((pair.f * mask) @ pair.gstar, 2) * (1 + GREEDY_RTOL) < bound
+        est = unconditional_constant(pair, SearchBudget(samples=100, seed=0))
+        assert est.evaluations > 1
+        assert est.value == pytest.approx(1.425503125, rel=1e-12)
