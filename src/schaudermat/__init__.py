@@ -14,11 +14,9 @@ from .errors import (
 from .kernel import (
     PolarFactors,
     condition_number,
-    direct_sum,
     invert,
     permutation_matrix,
     polar_decompose,
-    spectral_norm,
 )
 from .olevskii import (
     ConditionalModel,
@@ -39,7 +37,6 @@ from .schauder import (
     basis_constant,
     biorthogonal_inverse,
     dual_basis_constant,
-    natural_projection,
     quasinormality_bounds,
     riesz_diagnostic,
     summing_counterexample,

@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: norms, inversion, direct sums, polar factors.
+"""Dense linear-algebra substrate: inversion, condition numbers, polar factors.
 
 All matrices are real 2-d numpy arrays (row-major, float64). Indices in
 documentation and file formats are 1-based.
@@ -33,14 +33,6 @@ def _require_square(a):
 
 def _is_diagonal(a):
     return a.shape[0] == a.shape[1] and np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
-
-
-def spectral_norm(m):
-    """Largest singular value of *m*: max |a_ii| for a diagonal, else a full SVD."""
-    a = as_matrix(m)
-    if _is_diagonal(a):
-        return float(np.max(np.abs(np.diagonal(a))))
-    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def invert(m):
@@ -81,22 +73,6 @@ def condition_number(m):
     if smin < CONDITION_INF_RTOL * smax:
         return float("inf")
     return smax / smin
-
-
-def direct_sum(blocks):
-    """Block-diagonal matrix assembled from an ordered list of blocks."""
-    mats = [as_matrix(b) for b in blocks]
-    if not mats:
-        raise ValueError("direct_sum requires at least one block")
-    rows = sum(b.shape[0] for b in mats)
-    cols = sum(b.shape[1] for b in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in mats:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
 
 
 def permutation_matrix(perm):

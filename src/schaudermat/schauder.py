@@ -117,17 +117,6 @@ def biorthogonal_inverse(f):
     return BasisPair(f=f, gstar=invert(f))
 
 
-def natural_projection(pair, indices):
-    """Q = F P G* for the 1-based index subset *indices*."""
-    n = pair.size
-    mask = np.zeros(n)
-    for i in indices:
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of range 1..{n}")
-        mask[i - 1] = 1.0
-    return (pair.f * mask) @ pair.gstar
-
-
 def _masked_norms(f, gstar, masks, known=None):
     """Spectral norms of F diag(mask) G* for a (batch, n) stack of 0/1 masks.
 
@@ -192,13 +181,12 @@ def _masked_norms(f, gstar, masks, known=None):
     return out
 
 
-def _best_mask(f, gstar, batches, floor=-np.inf, ceiling=np.inf):
+def _best_mask(f, gstar, batches, floor=-np.inf):
     """(kernel norm, mask) of the first largest norm above *floor* in an
     iterable of mask stacks, or (floor, None) if no norm exceeds it.
 
     Each batch is screened by the bound of _masked_norms against the best
     norm so far, which leaves the first largest norm and its mask unchanged.
-    No batch is drawn once the best norm is >= *ceiling*.
     """
     best_value, best_mask = floor, None
     for masks in batches:
@@ -206,8 +194,6 @@ def _best_mask(f, gstar, batches, floor=-np.inf, ceiling=np.inf):
         i = int(np.argmax(norms))
         if norms[i] > best_value:
             best_value, best_mask = float(norms[i]), masks[i]
-        if best_value >= ceiling:
-            break
     return best_value, best_mask
 
 
@@ -267,9 +253,10 @@ def unconditional_constant(pair, budget=SearchBudget()):
 
     Exhaustive (mode Exact) for N <= budget.exact_cutoff. Otherwise (mode
     LowerBoundWitness) the mask of _sign_witness, if its norm is within GREEDY_RTOL of
-    the bound, after one evaluation; else a seeded search over prefixes, random subsets
-    and greedy single-index flips, which compares kernel norms and ends once its best is
-    within GREEDY_RTOL of the bound. The value is the witness's norm recomputed by SVD.
+    the bound, after one evaluation. Else no subset attains the bound (the equality
+    case of Wielandt's inequality), and a seeded search compares the kernel norms of
+    all prefixes, budget.samples random subsets and greedy single-index flips, until no
+    flip gains more than GREEDY_RTOL. The value is the witness's norm recomputed by SVD.
     """
     n = pair.size
     f, gstar = pair.f, pair.gstar
@@ -284,14 +271,13 @@ def unconditional_constant(pair, budget=SearchBudget()):
         return settled
 
     rng = np.random.default_rng(budget.seed)
-    starts = iter(range(0, budget.samples, _BATCH))  # left at the first batch not drawn
     sampled = (rng.integers(0, 2, size=(min(_BATCH, budget.samples - start), n)).astype(float)
-               for start in starts)
+               for start in range(0, budget.samples, _BATCH))
     best_value, best_mask = _best_mask(
-        f, gstar, itertools.chain(_batches(np.tril(np.ones((n, n)))), sampled), ceiling=ceiling)
-    evaluations = n + next(starts, budget.samples)  # and n per greedy round below
+        f, gstar, itertools.chain(_batches(np.tril(np.ones((n, n)))), sampled))
+    evaluations = n + budget.samples  # and n per greedy round below
 
-    while best_value < ceiling:
+    while True:
         flips = np.abs(best_mask - np.eye(n))  # row i flips index i+1
         evaluations += n
         value, mask = _best_mask(f, gstar, [flips], floor=best_value * (1 + GREEDY_RTOL))

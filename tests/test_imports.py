@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-module-level private function or class is referenced in the package, and
-every defaulted parameter is passed by some call in the package."""
+module-level private function or class is referenced in the package, every
+public one in a package module other than __init__.py, and every defaulted
+parameter is passed by some call in the package."""
 
 import ast
 import math
@@ -35,9 +36,10 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def private_definitions(source):
+def definitions(source, private):
     return {node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") == private}
 
 
 def references(source):
@@ -46,10 +48,10 @@ def references(source):
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
-def dead_helpers(sources):
-    """Module-level _private functions and classes that no source references."""
+def unreferenced(sources, private=True):
+    """Module-level functions and classes, _private or public, that no source references."""
     used = set().union(*map(references, sources))
-    return sorted(name for source in sources for name in private_definitions(source)
+    return sorted(name for source in sources for name in definitions(source, private)
                   if name not in used)
 
 
@@ -58,12 +60,27 @@ def test_checker_flags_dead_helper():
                "def public(): return _used()\n",
                "def _remote(): pass\n",
                "import m\nm._remote()\n"]
-    assert dead_helpers(sources) == ["_Gone", "_dead"]
+    assert unreferenced(sources) == ["_Gone", "_dead"]
 
 
 def test_no_dead_helpers():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
-    assert dead_helpers(sources) == []
+    assert unreferenced(sources) == []
+
+
+def test_checker_flags_unreached_public_name():
+    sources = ["def used(): pass\ndef unreached(): pass\nclass Orphan: pass\n"
+               "def _helper(): return used()\n",
+               "def remote(): pass\n",
+               "import m\nm.remote()\n"]
+    assert unreferenced(sources, private=False) == ["Orphan", "unreached"]
+
+
+def test_every_public_name_is_reached():
+    # A re-export from __init__.py is not a use: some package module must
+    # call or name each public function and class.
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert unreferenced(sources, private=False) == []
 
 
 def unpassed_defaults(sources):

@@ -12,10 +12,8 @@ from schaudermat import (
     basis_constant,
     biorthogonal_inverse,
     condition_number,
-    direct_sum,
     dual_basis_constant,
     haar_matrix,
-    natural_projection,
     olevskii_block,
     quasinormality_bounds,
     riesz_diagnostic,
@@ -57,6 +55,22 @@ def brute_basis(pair):
         p = np.diag(np.concatenate([np.ones(k), np.zeros(n - k)]))
         best = max(best, np.linalg.norm(pair.f @ p @ pair.gstar, 2))
     return best
+
+
+def projection(pair, indices):
+    """Q = F P_D G* for the 1-based index set D, formed densely as a reference."""
+    mask = np.zeros(pair.size)
+    mask[np.asarray(list(indices), dtype=int) - 1] = 1.0
+    return (pair.f * mask) @ pair.gstar
+
+
+def block_diagonal(blocks):
+    """The direct sum of square blocks, as a dense reference."""
+    starts = np.cumsum([0] + [len(b) for b in blocks])
+    out = np.zeros((starts[-1], starts[-1]))
+    for b, start in zip(blocks, starts):
+        out[start:start + len(b), start:start + len(b)] = b
+    return out
 
 
 def random_pair(rng, n, kappa=10.0):
@@ -112,29 +126,24 @@ class TestBiorthogonalInverse:
 class TestNaturalProjection:
     def test_full_set_is_identity(self):
         pair = summing_counterexample(5)
-        q = natural_projection(pair, range(1, 6))
+        q = projection(pair, range(1, 6))
         np.testing.assert_allclose(q, np.eye(5), atol=1e-12)
 
     def test_identity_pair_single_index(self):
         pair = biorthogonal_inverse(np.eye(3))
-        np.testing.assert_allclose(natural_projection(pair, [2]), np.diag([0.0, 1.0, 0.0]))
+        np.testing.assert_allclose(projection(pair, [2]), np.diag([0.0, 1.0, 0.0]))
 
     def test_summing_rank_one(self):
         pair = summing_counterexample(2)
-        q = natural_projection(pair, [1])
+        q = projection(pair, [1])
         np.testing.assert_allclose(q, np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     def test_idempotent(self):
         rng = np.random.default_rng(21)
         pair = random_pair(rng, 8)
         for subset in ([1], [2, 5], [1, 3, 8], list(range(1, 9))):
-            q = natural_projection(pair, subset)
+            q = projection(pair, subset)
             assert np.max(np.abs(q @ q - q)) < 1e-9
-
-    def test_out_of_range(self):
-        pair = biorthogonal_inverse(np.eye(3))
-        with pytest.raises(ValueError):
-            natural_projection(pair, [4])
 
 
 class TestBasisConstant:
@@ -157,7 +166,7 @@ class TestBasisConstant:
     def test_witness_recomputable(self):
         pair = summing_counterexample(6)
         est = basis_constant(pair)
-        q = natural_projection(pair, est.witness)
+        q = projection(pair, est.witness)
         assert np.linalg.norm(q, 2) == pytest.approx(est.value, abs=1e-9)
 
     def test_olevskii_blocks_beyond_enumeration(self):
@@ -169,7 +178,7 @@ class TestBasisConstant:
             est = basis_constant(pair)
             assert est.value == pytest.approx(want, abs=5e-5)
             assert est.witness == tuple(range(1, len(est.witness) + 1))
-            q = natural_projection(pair, est.witness)
+            q = projection(pair, est.witness)
             assert np.linalg.norm(q, 2) == pytest.approx(est.value, rel=1e-12)
 
 
@@ -221,7 +230,7 @@ class TestUnconditionalConstant:
     def test_witness_recomputable(self):
         pair = olevskii_block(3, 0.8)
         est = unconditional_constant(pair)
-        q = natural_projection(pair, est.witness)
+        q = projection(pair, est.witness)
         assert np.linalg.norm(q, 2) == pytest.approx(est.value, abs=1e-9)
 
     def test_seeded_determinism(self):
@@ -330,7 +339,7 @@ class TestSummingCounterexample:
     @pytest.mark.parametrize("n", [2, 5, 10])
     def test_first_projection_norm(self, n):
         pair = summing_counterexample(n)
-        q1 = natural_projection(pair, [1])
+        q1 = projection(pair, [1])
         assert np.linalg.norm(q1, 2) == pytest.approx(math.sqrt(n), rel=1e-12)
 
 
@@ -369,8 +378,8 @@ class TestTransforms:
         out = transform_right_diagonal(pair, [2.0, -1.0 / 3.0, 5.0, -0.25, 1.5, 7.0])
         for subset in ([1], [2, 4], [1, 3, 5, 6]):
             np.testing.assert_allclose(
-                natural_projection(out, subset),
-                natural_projection(pair, subset),
+                projection(out, subset),
+                projection(pair, subset),
                 atol=1e-12,
             )
 
@@ -451,9 +460,8 @@ class TestMaskedNormKernel:
     def test_rotated_olevskii_block_sum(self):
         rng = np.random.default_rng(42)
         blocks = [olevskii_block(k, 0.8) for k in range(1, 5)]
-        pair = rotated(rng, BasisPair(
-            f=direct_sum([b.f for b in blocks]), gstar=direct_sum([b.gstar for b in blocks])
-        ))
+        pair = rotated(rng, BasisPair(f=block_diagonal([b.f for b in blocks]),
+                                      gstar=block_diagonal([b.gstar for b in blocks])))
         masks = rng.integers(0, 2, size=(500, pair.size)).astype(float)
         assert_kernel_matches(pair.f, pair.gstar, masks)
 
@@ -527,8 +535,8 @@ def block_sum(levels, identity=0):
     """The direct sum of the level 1..levels Olevskii block pairs, plus I_identity."""
     blocks = [olevskii_block(k, 0.8) for k in range(1, levels + 1)]
     eye = [np.eye(identity)] if identity else []
-    return BasisPair(f=direct_sum([b.f for b in blocks] + eye),
-                     gstar=direct_sum([b.gstar for b in blocks] + eye))
+    return BasisPair(f=block_diagonal([b.f for b in blocks] + eye),
+                     gstar=block_diagonal([b.gstar for b in blocks] + eye))
 
 
 def seeded_sections(seed):
@@ -602,8 +610,8 @@ class TestScreenedArgmax:
 
     def test_screen_prunes_most_eigen_solves(self, monkeypatch):
         # guards against the screen degrading into a full evaluation: 247 of
-        # the 20 064 prefixes and samples of the unstopped search reach
-        # eigvalsh, 2 363 with the bound 1 + ||E^2||_F^(1/2)
+        # the 20 064 prefixes and samples that the search would draw on this
+        # section reach eigvalsh, 2 363 with the bound 1 + ||E^2||_F^(1/2)
         pair, _ = seeded_sections(101)
         batches = list(search_batches(pair.size, SearchBudget(seed=101)))
         solved = []
@@ -614,20 +622,21 @@ class TestScreenedArgmax:
         assert sum(solved) < 0.05 * 20064
 
     def test_traced_peak_memory(self):
-        # Limits in MiB under tracemalloc with numpy 2.4; allow 10% more.
-        # N = 128 keeps its 16.7 from when all masks were stacked at once: the
-        # batch-at-a-time draw peaks at 17.2 there (a batch of 2 000 samples,
-        # no longer shared with the prefixes). N = 64 (20 000 samples) peaks
-        # at 7.6, against 19.6 with every sample drawn up front.
-        pair64, pair128 = seeded_sections(101)
-        for pair, budget, limit in [(pair128, SearchBudget(samples=2000, seed=101), 16.7),
-                                    (pair64, SearchBudget(seed=101), 7.6)]:
+        # Limits in MiB under tracemalloc with numpy 2.4; allow 10% more. Both
+        # pairs miss the sign witness, so each call draws every sample, one
+        # batch at a time: N = 70 with 20 000 samples peaks at 9.7, N = 128
+        # with 2 000 samples (one batch) at 15.9.
+        pairs = [(with_dual_block(0.8), SearchBudget(seed=101), 9.7),
+                 (random_pair(np.random.default_rng(101), 128, kappa=30.0),
+                  SearchBudget(samples=2000, seed=101), 15.9)]
+        for pair, budget, limit in pairs:
             tracemalloc.start()
             try:
-                unconditional_constant(pair, budget)
+                est = unconditional_constant(pair, budget)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            assert est.evaluations > pair.size + budget.samples  # and a greedy round
             assert peak / 2 ** 20 <= 1.1 * limit
 
     def test_large_flip_batch_is_gathered_in_chunks(self):
@@ -652,7 +661,7 @@ class TestScreenedArgmax:
 class TestReportedValues:
     @staticmethod
     def attained(pair, est):
-        return np.linalg.norm(natural_projection(pair, est.witness), 2)
+        return np.linalg.norm(projection(pair, est.witness), 2)
 
     def test_values_are_attained_by_witness(self):
         rng = np.random.default_rng(45)
@@ -686,7 +695,7 @@ class TestReportedValues:
         for _ in range(10):
             d = [int(i) for i in np.flatnonzero(rng.integers(0, 2, 9)) + 1]
             rest = [i for i in range(1, 10) if i not in d]
-            total = natural_projection(pair, d) + natural_projection(pair, rest)
+            total = projection(pair, d) + projection(pair, rest)
             np.testing.assert_allclose(total, np.eye(9), atol=1e-12)
 
     def test_exact_cutoff_limit(self):
@@ -716,7 +725,8 @@ def with_dual_block(alpha):
     and 1.4336, so the search can never reach it."""
     b3 = olevskii_block(3, alpha)
     pair = block_sum(5)
-    return BasisPair(f=direct_sum([pair.f, b3.gstar.T]), gstar=direct_sum([pair.gstar, b3.f.T]))
+    return BasisPair(f=block_diagonal([pair.f, b3.gstar.T]),
+                     gstar=block_diagonal([pair.gstar, b3.f.T]))
 
 
 def test_greedy_stops_on_rounding_only_gains():
@@ -771,18 +781,18 @@ class TestUpperBound:
                 math.cosh((k - 1) * math.log(1 / alpha)), rel=1e-12)
 
 
-class TestSearchStop:
-    """A call that returns at the bound, by the sign witness or the stopped
-    search, keeps the value of the full search."""
+class TestSignWitnessOrFullSearch:
+    """A call that the sign witness settles keeps the value of the full search;
+    a call that it misses draws every sample."""
 
     @pytest.mark.parametrize("name", ["L4", "L5", "N64"])
-    def test_stopped_search_keeps_the_value(self, name):
+    def test_settled_call_keeps_the_value(self, name):
         budget = SearchBudget(seed=101)
         pair = {"L4": block_sum(4), "L5": block_sum(5), "N64": seeded_sections(101)[0]}[name]
         est = unconditional_constant(pair, budget)
-        unstopped, _ = _best_mask(pair.f, pair.gstar, search_batches(pair.size, budget))
-        assert est.value == pytest.approx(unstopped, rel=GREEDY_RTOL)
-        assert est.evaluations <= pair.size + _BATCH
+        searched, _ = _best_mask(pair.f, pair.gstar, search_batches(pair.size, budget))
+        assert est.value == pytest.approx(searched, rel=GREEDY_RTOL)
+        assert est.evaluations == 1
 
     @pytest.mark.parametrize("pair, seed, rounds, witness", [
         (random_pair(np.random.default_rng(54), 24, kappa=100.0), 54, 8,
