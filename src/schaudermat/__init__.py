@@ -15,7 +15,6 @@ from .kernel import (
     PolarFactors,
     condition_number,
     invert,
-    permutation_matrix,
     polar_decompose,
 )
 from .olevskii import (
@@ -36,7 +35,6 @@ from .schauder import (
     SearchBudget,
     basis_constant,
     biorthogonal_inverse,
-    dual_basis_constant,
     quasinormality_bounds,
     riesz_diagnostic,
     summing_counterexample,

@@ -25,7 +25,6 @@ from .schauder import (
     SearchBudget,
     basis_constant,
     biorthogonal_inverse,
-    dual_basis_constant,
     quasinormality_bounds,
     riesz_diagnostic,
     summing_counterexample,
@@ -140,17 +139,13 @@ def cmd_constants(args):
 
 def cmd_dual_constants(args):
     pair = biorthogonal_inverse(load_matrix(args.matrix))
-    _emit(args, {"dualBasis": dual_basis_constant(pair)})
+    # The dual basis (G, F^T) has projections G P_n F^T = (F P_n G*)^T, of the same norms.
+    _emit(args, {"dualBasis": basis_constant(pair).value})
     return EXIT_OK
 
 
 def cmd_riesz(args):
-    report = riesz_diagnostic(
-        load_matrix(args.matrix),
-        _ints(args.sections),
-        bound_threshold=args.bound,
-        divergence_threshold=args.divergence,
-    )
+    report = riesz_diagnostic(load_matrix(args.matrix), _ints(args.sections))
     rows = list(zip(report.section_sizes, report.condition_numbers))
     _emit(args, report.to_json(), csv_rows=(["section", "conditionNumber"], rows))
     return EXIT_OK
@@ -224,7 +219,7 @@ def cmd_cut(args):
 
 def cmd_ratio_check(args):
     spectrum = parse_spectrum(args.spectrum)
-    report = ratio_limit_check(spectrum, args.tail, tolerance=args.tolerance)
+    report = ratio_limit_check(spectrum, args.tail)
     _emit(args, report.to_json())
     return EXIT_OK
 
@@ -292,8 +287,6 @@ def build_parser():
     p = sub.add_parser("riesz", help="condition numbers of leading sections")
     p.add_argument("--matrix", required=True)
     p.add_argument("--sections", required=True, help="comma-separated sizes")
-    p.add_argument("--bound", type=float, default=1e2)
-    p.add_argument("--divergence", type=float, default=1e3)
     _add_report_flags(p, csv=True)
     p.set_defaults(func=cmd_riesz)
 
@@ -349,7 +342,6 @@ def build_parser():
     p = sub.add_parser("ratio-check", help="tail consecutive-ratio criterion")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--tail", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=0.05)
     _add_report_flags(p)
     p.set_defaults(func=cmd_ratio_check)
 

@@ -75,15 +75,6 @@ def condition_number(m):
     return smax / smin
 
 
-def permutation_matrix(perm):
-    """0/1 matrix U with U e_{perm(n)} = e_n for the 1-based bijection *perm*."""
-    p = list(perm)
-    n = len(p)
-    if sorted(p) != list(range(1, n + 1)):
-        raise ValueError(f"not a bijection on 1..{n}: {p}")
-    return np.eye(n)[np.array(p, dtype=int) - 1]  # row i is e_{perm(i)}
-
-
 @dataclass(frozen=True)
 class PolarFactors:
     """Factors of M = U A with U orthogonal and A symmetric positive definite."""

@@ -126,6 +126,11 @@ class OlevskiiPlan:
     @classmethod
     def from_json(cls, obj):
         """Parse a plan object; a missing or ill-typed key raises ValueError."""
+        def integer(x):  # a JSON integer: int() would read 1.7 as 1 and true as 1
+            if type(x) is not int:
+                raise TypeError(f"expected an integer, got {x!r}")
+            return x
+
         def field(key, cast, nested=True):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f"plan has no key {key!r}")
@@ -135,9 +140,9 @@ class OlevskiiPlan:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"plan key {key!r} is ill-typed: {exc}") from None
 
-        return cls(levels=field("levels", int, False), alpha=field("alpha", float, False),
-                   subsets=field("subsets", int), c_bounds=field("cBounds", float),
-                   leftovers=field("leftovers", int) if "leftovers" in obj else ())
+        return cls(levels=field("levels", integer, False), alpha=field("alpha", float, False),
+                   subsets=field("subsets", integer), c_bounds=field("cBounds", float),
+                   leftovers=field("leftovers", integer) if "leftovers" in obj else ())
 
 
 @dataclass(frozen=True)
@@ -284,7 +289,8 @@ def rank1_conjugation_witness(lambda1, lambda2, delta=0.0):
     On the 2-d section A = diag(lambda1 + delta, lambda2 - delta) (the worst
     admissible endpoints) and e = (e1 + e2)/sqrt(2), P = e e^T, the value
     ||A P A^{-1}|| = ||Ae|| ||A^{-1}e|| is returned together with the bound
-    lambda2/(2 sqrt(2) lambda1); the value is certified >= bound - WITNESS_TOL.
+    lambda2/(2 sqrt(2) lambda1); the value is certified >= bound - WITNESS_TOL,
+    and a delta for which it is not raises ValueError.
     """
     if lambda1 <= 0 or lambda2 < lambda1:
         raise ValueError("need 0 < lambda1 <= lambda2")
@@ -298,9 +304,8 @@ def rank1_conjugation_witness(lambda1, lambda2, delta=0.0):
         (a1 ** -2 + a2 ** -2) / 2.0
     )
     bound = lambda2 / (2.0 * math.sqrt(2.0) * lambda1)
-    if norm_value < bound - WITNESS_TOL:
-        raise AssertionError(
-            f"witness norm {norm_value} fell below certified bound {bound}"
-        )
+    if norm_value < bound - WITNESS_TOL:  # a large delta brings a2 / a1 towards 1
+        raise ValueError(f"witness norm {norm_value} falls below the bound {bound}: "
+                         "delta is too large for this spectrum")
     return p, norm_value, bound
 

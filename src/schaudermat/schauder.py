@@ -12,13 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .kernel import (
-    _as_matrix_or_diagonal,
-    as_matrix,
-    condition_number,
-    invert,
-    permutation_matrix,
-)
+from .kernel import _as_matrix_or_diagonal, as_matrix, condition_number, invert
 
 PAIR_TOL = 1e-9
 # Largest accepted SearchBudget.exact_cutoff: exact enumeration of N indices
@@ -37,6 +31,11 @@ _GATHERED = 2 ** 20
 
 # Largest Haar level k; 2^k = 4096 also bounds every other generated section.
 HAAR_MAX_LEVEL = 12
+
+# riesz_diagnostic's verdict thresholds on the condition numbers: RieszConsistent
+# needs every section within RIESZ_BOUND, NotRiesz the largest above RIESZ_DIVERGENCE.
+RIESZ_BOUND = 1e2
+RIESZ_DIVERGENCE = 1e3
 
 
 @dataclass(frozen=True)
@@ -288,11 +287,6 @@ def unconditional_constant(pair, budget=SearchBudget()):
     return _estimate(f, gstar, best_mask, "LowerBoundWitness", evaluations)
 
 
-def dual_basis_constant(pair):
-    """Exact maximum over prefixes of ||G P_n F^T|| with G = Gstar^T."""
-    return basis_constant(BasisPair(f=pair.gstar.T, gstar=pair.f.T)).value
-
-
 def quasinormality_bounds(f):
     """(min, max) Euclidean column norms of F."""
     a = as_matrix(f)
@@ -300,12 +294,12 @@ def quasinormality_bounds(f):
     return float(np.min(norms)), float(np.max(norms))
 
 
-def riesz_diagnostic(f, section_sizes, bound_threshold=1e2, divergence_threshold=1e3):
+def riesz_diagnostic(f, section_sizes):
     """Condition numbers of leading principal sections with a three-way verdict.
 
-    NotRiesz: the largest section exceeds divergence_threshold and the last
+    NotRiesz: the largest section exceeds RIESZ_DIVERGENCE and the last
     three condition numbers are strictly increasing. RieszConsistent: all
-    sections stay within bound_threshold and the last three are not strictly
+    sections stay within RIESZ_BOUND and the last three are not strictly
     increasing. Anything else is Inconclusive. A 1-d *f* is read as the
     diagonal of a square matrix.
     """
@@ -319,9 +313,9 @@ def riesz_diagnostic(f, section_sizes, bound_threshold=1e2, divergence_threshold
 
     tail = conds[-3:]
     increasing = len(tail) >= 2 and all(x < y for x, y in zip(tail, tail[1:]))
-    if (np.isinf(conds[-1]) or conds[-1] > divergence_threshold) and increasing:
+    if (np.isinf(conds[-1]) or conds[-1] > RIESZ_DIVERGENCE) and increasing:
         verdict = "NotRiesz"
-    elif all(c <= bound_threshold for c in conds) and not increasing:
+    elif all(c <= RIESZ_BOUND for c in conds) and not increasing:
         verdict = "RieszConsistent"
     else:
         verdict = "Inconclusive"
@@ -366,8 +360,12 @@ def transform_right_diagonal(pair, d):
 
 
 def transform_right_permutation(pair, perm):
-    """(F U_perm, U_perm^T Gstar); the exact unconditional constant is invariant."""
-    u = permutation_matrix(perm)
-    if u.shape[0] != pair.size:
+    """(F U, U^T Gstar) for the 0/1 matrix U with U e_{perm(n)} = e_n and the 1-based
+    bijection *perm*, formed by indexing; the exact unconditional constant is invariant."""
+    p = list(perm)
+    if sorted(p) != list(range(1, len(p) + 1)):
+        raise ValueError(f"not a bijection on 1..{len(p)}: {p}")
+    if len(p) != pair.size:
         raise ValueError(f"permutation must act on 1..{pair.size}")
-    return BasisPair(f=pair.f @ u, gstar=u.T @ pair.gstar)
+    q = np.argsort(p)  # 0-based inverse: column j of F U is column q[j] of F
+    return BasisPair(f=pair.f[:, q], gstar=pair.gstar[q])

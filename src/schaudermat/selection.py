@@ -69,11 +69,13 @@ def geometric_spectrum(r, n):
 
 def parse_spectrum(text):
     """Parse "harmonic:N", "geometric:r:N" or load one value per line from a file."""
-    if text.startswith("harmonic:"):
-        return harmonic_spectrum(int(text.split(":")[1]))
-    if text.startswith("geometric:"):
-        _, r, n = text.split(":")
-        return geometric_spectrum(float(r), int(n))
+    kind, *fields = text.split(":")
+    if text.startswith(("harmonic:", "geometric:")):
+        if len(fields) != (1 if kind == "harmonic" else 2):
+            raise ValueError(f"spectrum {text!r} must read harmonic:N or geometric:r:N")
+        if kind == "harmonic":
+            return harmonic_spectrum(int(fields[0]))
+        return geometric_spectrum(float(fields[0]), int(fields[1]))
     with open(text, "r", encoding="ascii") as fh:
         lines = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
         vals = np.fromiter(map(float, itertools.islice(lines, MAX_SPECTRUM_LENGTH + 1)), float)
@@ -216,22 +218,27 @@ class RatioLimitReport:
         }
 
 
-def ratio_limit_check(spectrum, tail_length, tolerance=0.05):
+# ratio_limit_check passes only if every tail ratio is at most 1 + RATIO_TOLERANCE.
+RATIO_TOLERANCE = 0.05
+
+
+def ratio_limit_check(spectrum, tail_length):
     """Test whether consecutive ratios approach 1 over the final tail.
 
-    Passes when the maximal tail ratio is <= 1 + tolerance and the last
-    quarter's mean ratio does not exceed the first quarter's.
+    Passes when the maximal tail ratio is <= 1 + RATIO_TOLERANCE and the last
+    quarter's mean ratio does not exceed the first quarter's. The tail holds
+    2..len(spectrum) - 1 values, so that it has at least one ratio.
     """
     v = spectrum.values
-    if v.shape[0] <= tail_length:
-        raise ValueError("spectrum must be longer than the tail")
+    if not 2 <= tail_length < v.shape[0]:
+        raise ValueError(f"tail length must lie in 2..{v.shape[0] - 1}, got {tail_length}")
     tail = v[-tail_length:]
     ratios = tail[:-1] / tail[1:]
     q = max(1, ratios.shape[0] // 4)
     trend_ok = float(np.mean(ratios[-q:])) <= float(np.mean(ratios[:q]))
     max_r = float(np.max(ratios))
     return RatioLimitReport(
-        passes=max_r <= 1.0 + tolerance and trend_ok,
+        passes=max_r <= 1.0 + RATIO_TOLERANCE and trend_ok,
         tail_ratios=tuple(float(r) for r in ratios),
         max_ratio=max_r,
         trend_ok=trend_ok,

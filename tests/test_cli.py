@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,7 +192,33 @@ def test_counterexample_and_dual(tmp_path, capsys):
     assert code == 0
     code, out = run(capsys, "dual-constants", "--matrix", str(f))
     assert code == 0
-    assert json.loads(out)["dualBasis"] >= 2.0
+    dual = json.loads(out)["dualBasis"]
+    code, out = run(capsys, "constants", "--matrix", str(f))
+    assert code == 0
+    assert dual == json.loads(out)["basis"]["value"] and dual >= 2.0
+
+
+@pytest.mark.parametrize("f", [summing_counterexample(n).f for n in (4, 16, 64)]
+                         + [np.linalg.qr(np.random.default_rng(4).standard_normal((16, 16)))[0]
+                            @ olevskii_block(4, 0.8).f],
+                         ids=["summing4", "summing16", "summing64", "rotated-block4"])
+def test_dual_constants_print_the_basis_constant(tmp_path, capsys, f):
+    mat = tmp_path / "f.mtx"
+    save_matrix(mat, f)
+    code, out = run(capsys, "dual-constants", "--matrix", str(mat))
+    assert code == 0
+    expected = basis_constant(biorthogonal_inverse(load_matrix(mat))).value
+    assert json.loads(out)["dualBasis"].hex() == expected.hex()
+
+
+@pytest.mark.parametrize("argv", [
+    ["riesz", "--matrix", "m.mtx", "--sections", "1,2", "--bound", "5"],
+    ["riesz", "--matrix", "m.mtx", "--sections", "1,2", "--divergence", "5"],
+    ["ratio-check", "--spectrum", "harmonic:100", "--tail", "10", "--tolerance", "0.1"],
+], ids=["riesz-bound", "riesz-divergence", "ratio-tolerance"])
+def test_fixed_thresholds_take_no_option(capsys, argv):
+    assert main(argv) == 1  # refused while parsing, before any file is read
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_riesz_command(tmp_path, capsys):
@@ -299,7 +329,13 @@ def test_validate_plan_reports_nonpositive_lower_bound(tmp_path, capsys):
     ({k: v for k, v in PLAN.items() if k != "subsets"}, "plan has no key 'subsets'"),
     (dict(PLAN, subsets=5), "plan key 'subsets' is ill-typed"),
     (dict(PLAN, cBounds=[[0.5, 1.0, 2.0]]), "must be a pair"),
-], ids=["no-cBounds", "no-subsets", "int-subsets", "triple-cBounds"])
+    (dict(PLAN, levels=1.7), "plan key 'levels' is ill-typed"),
+    (dict(PLAN, levels=True), "plan key 'levels' is ill-typed"),
+    (dict(PLAN, subsets=[[3.9, 4.9]]), "plan key 'subsets' is ill-typed"),
+    (dict(PLAN, subsets=[[True, 2]]), "plan key 'subsets' is ill-typed"),
+    (dict(PLAN, leftovers=[[5.0]]), "plan key 'leftovers' is ill-typed"),
+], ids=["no-cBounds", "no-subsets", "int-subsets", "triple-cBounds", "float-levels",
+        "bool-levels", "float-subsets", "bool-subsets", "float-leftovers"])
 def test_validate_plan_malformed_exit_code(tmp_path, capsys, plan, message):
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps(plan))
@@ -316,6 +352,13 @@ def test_select_failure_exit_code(capsys):
         "--delta", "2", "--levels", "3",
     )
     assert code == 2
+
+
+def test_ratio_check_tail_without_a_ratio_exit_code(capsys):
+    code = main(["ratio-check", "--spectrum", "harmonic:100", "--tail", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "tail length must lie in 2..99, got 1" in captured.err
 
 
 def test_cut_command(capsys):
@@ -439,3 +482,28 @@ def test_written_files_match_per_value_reference(tmp_path, argv, outs, expected)
     assert main(argv) == 0
     for path, m in zip(paths, expected(mat)):
         assert path.read_text(encoding="ascii") == reference_text(m)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_entry_point_exit_codes(tmp_path):
+    """The real entry point, python -m schaudermat.cli, in a fresh interpreter."""
+    save_matrix(tmp_path / "m.mtx", np.diag([2.0, 1.0]))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cases = [
+        (["condition", "--matrix", str(tmp_path / "m.mtx")], 0),
+        (["lp-witness", "--lambda1", "0.1", "--lambda2", "10", "--delta", "4.9"], 1),
+        (["ratio-check", "--spectrum", "harmonic:100", "--tail", "1"], 1),
+        (["select", "--spectrum", "geometric:0.5:100", "--alpha", "0.8", "--delta", "2",
+          "--levels", "3"], 2),
+    ]
+    for argv, expected in cases:
+        proc = subprocess.run([sys.executable, "-m", "schaudermat.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == expected, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        if expected == 0:
+            assert json.loads(proc.stdout) == {"conditionNumber": 2.0}
+        else:
+            assert proc.stdout == "" and proc.stderr

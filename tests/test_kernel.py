@@ -5,10 +5,11 @@ import pytest
 
 from schaudermat import (
     SingularMatrixError,
+    biorthogonal_inverse,
     condition_number,
     invert,
-    permutation_matrix,
     polar_decompose,
+    transform_right_permutation,
 )
 
 
@@ -70,37 +71,72 @@ class TestConditionNumber:
             condition_number(bad)
 
 
+def permutation_matrix(perm):
+    """Reference 0/1 matrix U with U e_{perm(n)} = e_n: row n is e_{perm(n)}."""
+    return np.eye(len(perm))[np.array(perm) - 1]
+
+
 class TestPermutationMatrix:
+    """transform_right_permutation indexes the columns of F and the rows of G*;
+    on inputs without -0.0 it equals the products F U and U^T G* bit for bit."""
+
+    @staticmethod
+    def permuted(perm, f=None):
+        n = len(perm)
+        pair = biorthogonal_inverse(
+            random_well_conditioned(np.random.default_rng(n), n) if f is None else f)
+        u = permutation_matrix(perm)
+        out = transform_right_permutation(pair, perm)
+        assert np.array_equal(out.f, pair.f @ u)
+        assert np.array_equal(out.gstar, u.T @ pair.gstar)
+        return pair, out
+
     def test_identity(self):
-        np.testing.assert_allclose(permutation_matrix([1, 2, 3]), np.eye(3))
+        np.testing.assert_array_equal(permutation_matrix([1, 2, 3]), np.eye(3))
+        pair, out = self.permuted([1, 2, 3])
+        assert np.array_equal(out.f, pair.f) and np.array_equal(out.gstar, pair.gstar)
 
     def test_swap(self):
-        np.testing.assert_allclose(
-            permutation_matrix([2, 1]), np.array([[0.0, 1.0], [1.0, 0.0]])
-        )
+        np.testing.assert_array_equal(permutation_matrix([2, 1]), [[0.0, 1.0], [1.0, 0.0]])
+        pair, out = self.permuted([2, 1])
+        assert np.array_equal(out.f, pair.f[:, ::-1])
 
     def test_cycle_square_is_inverse(self):
         cycle = permutation_matrix([2, 3, 1])
-        inverse_cycle = permutation_matrix([3, 1, 2])
-        np.testing.assert_allclose(cycle @ cycle, inverse_cycle)
+        np.testing.assert_array_equal(cycle @ cycle, permutation_matrix([3, 1, 2]))
+        pair, once = self.permuted([2, 3, 1])
+        twice = transform_right_permutation(once, [2, 3, 1])
+        inverse = transform_right_permutation(pair, [3, 1, 2])
+        assert np.array_equal(twice.f, inverse.f) and np.array_equal(twice.gstar, inverse.gstar)
 
     def test_maps_basis_vectors(self):
         perm = [3, 1, 2]
-        u = permutation_matrix(perm)
+        _, out = self.permuted(perm, f=np.eye(3))  # F = I, so out.f is U
         for n, image in enumerate(perm, start=1):
             e = np.zeros(3)
             e[image - 1] = 1.0
             expected = np.zeros(3)
             expected[n - 1] = 1.0
-            np.testing.assert_allclose(u @ e, expected)
+            np.testing.assert_array_equal(out.f @ e, expected)
 
     def test_orthogonal(self):
-        u = permutation_matrix([4, 2, 1, 3])
-        np.testing.assert_allclose(u @ u.T, np.eye(4))
+        _, out = self.permuted([4, 2, 1, 3], f=np.eye(4))
+        np.testing.assert_array_equal(out.f @ out.f.T, np.eye(4))
+        np.testing.assert_array_equal(out.gstar, out.f.T)
+        self.permuted([4, 2, 1, 3])
 
     def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            permutation_matrix([1, 1, 3])
+        pair = biorthogonal_inverse(np.eye(3))
+        with pytest.raises(ValueError, match=r"not a bijection on 1..3: \[1, 1, 3\]"):
+            transform_right_permutation(pair, [1, 1, 3])
+        with pytest.raises(ValueError, match="permutation must act on 1..3"):
+            transform_right_permutation(pair, [2, 1])
+
+    def test_keeps_negative_zero(self):
+        # 0 * 1 + (-0.0) * 0 is +0.0 in the product F U; indexing moves the -0.0 as it is.
+        f = np.array([[1.0, -0.0], [0.0, 1.0]])
+        out = transform_right_permutation(biorthogonal_inverse(f), [2, 1])
+        assert np.signbit(out.f[0, 0]) and not np.signbit((f @ permutation_matrix([2, 1]))[0, 0])
 
 
 class TestPolarDecompose:

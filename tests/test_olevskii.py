@@ -329,6 +329,12 @@ class TestRank1Witness:
         with pytest.raises(ValueError):
             rank1_conjugation_witness(1.0, 2.0, 0.6)
 
+    def test_admitted_delta_below_the_bound(self):
+        # delta = 4.9 < (10 - 0.1)/2 is admitted, but r = (10 - 4.9)/(0.1 + 4.9) = 1.02
+        # gives the value (r + 1/r)/2 = 1.000196, far below the bound 35.355.
+        with pytest.raises(ValueError, match=r"witness norm 1\.0001\d* falls below the bound 35\.355"):
+            rank1_conjugation_witness(0.1, 10.0, 4.9)
+
 
 class TestProjectionBlowup:
     """Spectrum pairs (lambda_small, lambda_large) of growing ratio blow the

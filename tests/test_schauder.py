@@ -12,7 +12,6 @@ from schaudermat import (
     basis_constant,
     biorthogonal_inverse,
     condition_number,
-    dual_basis_constant,
     haar_matrix,
     olevskii_block,
     quasinormality_bounds,
@@ -242,28 +241,36 @@ class TestUnconditionalConstant:
         assert a.value == b.value and a.witness == b.witness
 
 
+def dual(pair):
+    """The dual basis pair (G, F^T), G = Gstar^T: its projections are the transposes."""
+    return BasisPair(f=pair.gstar.T, gstar=pair.f.T)
+
+
 class TestDualBasisConstant:
+    """The dual basis constant is read off the basis constant, as ||Q_n^T|| = ||Q_n||;
+    the basis constant of the transposed pair is an independent reference."""
+
     def test_identity(self):
-        assert dual_basis_constant(biorthogonal_inverse(np.eye(4))) == pytest.approx(1.0)
+        pair = biorthogonal_inverse(np.eye(4))
+        assert basis_constant(pair).value == basis_constant(dual(pair)).value == 1.0
 
     def test_unitary(self):
-        assert dual_basis_constant(biorthogonal_inverse(haar_matrix(2))) == pytest.approx(1.0)
+        pair = biorthogonal_inverse(haar_matrix(2))
+        assert basis_constant(pair).value == pytest.approx(1.0)
+        assert basis_constant(dual(pair)).value == pytest.approx(1.0)
 
     def test_transposition_cross_check(self):
         pair = summing_counterexample(16)
-        transposed = BasisPair(f=pair.gstar.T, gstar=pair.f.T)
-        assert dual_basis_constant(pair) == pytest.approx(
-            basis_constant(transposed).value, abs=1e-9
+        assert basis_constant(pair).value == pytest.approx(
+            basis_constant(dual(pair)).value, abs=1e-9
         )
 
     def test_equals_primal_on_sections(self):
-        # on finite sections ||(F P G*)^T|| = ||F P G*||, so the dual constant
-        # coincides with the primal one
         rng = np.random.default_rng(25)
         pair = random_pair(rng, 7)
-        assert dual_basis_constant(pair) == pytest.approx(
-            basis_constant(pair).value, abs=1e-9
-        )
+        primal, transposed = basis_constant(pair), basis_constant(dual(pair))
+        assert primal.value == pytest.approx(transposed.value, abs=1e-9)
+        assert primal.witness == transposed.witness
 
 
 class TestQuasinormality:
@@ -298,6 +305,14 @@ class TestRieszDiagnostic:
         d = np.diag(1.0 / np.arange(1, 4097))
         report = riesz_diagnostic(d, [64, 1024, 4096])
         assert report.verdict == "NotRiesz"
+
+    def test_fixed_thresholds(self):
+        # RieszConsistent allows condition numbers up to 100; NotRiesz needs above 1000.
+        assert riesz_diagnostic(np.array([1.0, 0.01, 0.01, 0.01]), [2, 3, 4]).verdict == (
+            "RieszConsistent")
+        v = 1.0 / np.arange(1, 1002)
+        assert riesz_diagnostic(v, [10, 100, 1000]).verdict == "Inconclusive"
+        assert riesz_diagnostic(v, [10, 100, 1001]).verdict == "NotRiesz"
 
     def test_vector_matches_dense_diagonal(self):
         v = 1.0 / np.arange(1, 129)

@@ -92,6 +92,11 @@ class TestSpectrumSequence:
         g = parse_spectrum("geometric:0.5:10")
         assert g.values[2] == pytest.approx(0.125)
 
+    @pytest.mark.parametrize("text", ["harmonic:10:20", "geometric:0.5", "geometric:0.5:10:3"])
+    def test_parse_refuses_wrong_field_count(self, text):
+        with pytest.raises(ValueError, match="must read harmonic:N or geometric:r:N"):
+            parse_spectrum(text)
+
     def test_generated_length_is_bounded(self):
         # Refused before the 10^7 + 1 values are allocated.
         message = "spectrum length must be at most 10000000, got 10000001"
@@ -312,9 +317,16 @@ class TestRatioLimitCheck:
         report = ratio_limit_check(SpectrumSequence(values), 1000)
         assert report.passes
 
-    def test_tail_too_long(self):
-        with pytest.raises(ValueError):
-            ratio_limit_check(harmonic_spectrum(10), 10)
+    @pytest.mark.parametrize("tail", [100, 101, 0, -5, 1], ids=lambda t: f"tail{t}")
+    def test_tail_too_long(self, tail):
+        # A tail needs 2..99 of the 100 values: 0 and -5 would slice the whole
+        # spectrum or a wrong part of it, and 1 would leave no ratio.
+        with pytest.raises(ValueError, match=r"tail length must lie in 2\.\.99"):
+            ratio_limit_check(harmonic_spectrum(100), tail)
+
+    def test_shortest_and_longest_tail(self):
+        assert ratio_limit_check(harmonic_spectrum(100), 2).tail_ratios == (100 / 99,)
+        assert len(ratio_limit_check(harmonic_spectrum(100), 99).tail_ratios) == 98
 
 
 class TestHarmonicDemo:
