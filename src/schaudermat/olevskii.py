@@ -126,12 +126,12 @@ class OlevskiiPlan:
     @classmethod
     def from_json(cls, obj):
         """Parse a plan object; a missing or ill-typed key raises ValueError."""
-        def integer(x):  # a JSON integer: int() would read 1.7 as 1 and true as 1
-            if type(x) is not int:
-                raise TypeError(f"expected an integer, got {x!r}")
-            return x
+        def field(key, types, nested=True):
+            def cast(x):  # int() and float() would read 1.7 as 1, true as 1 and "0.8" as 0.8
+                if type(x) not in types:
+                    raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {x!r}")
+                return types[-1](x)
 
-        def field(key, cast, nested=True):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f"plan has no key {key!r}")
             value = obj[key]
@@ -140,9 +140,9 @@ class OlevskiiPlan:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"plan key {key!r} is ill-typed: {exc}") from None
 
-        return cls(levels=field("levels", integer, False), alpha=field("alpha", float, False),
-                   subsets=field("subsets", integer), c_bounds=field("cBounds", float),
-                   leftovers=field("leftovers", integer) if "leftovers" in obj else ())
+        return cls(levels=field("levels", (int,), False), alpha=field("alpha", (int, float), False),
+                   subsets=field("subsets", (int,)), c_bounds=field("cBounds", (int, float)),
+                   leftovers=field("leftovers", (int,)) if "leftovers" in obj else ())
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,7 @@ def _masked_norms(f, gstar, masks, known=None):
     n = masks.shape[1]
     sizes = np.count_nonzero(masks, axis=1)
     out = np.zeros(masks.shape[0])
-    for d in np.unique(sizes[sizes > 0]):
+    for d in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         flip = d < n < 2 * d  # S = D^c, the smaller side: the mask's zeros
         size = n - d if flip else d
         group = np.flatnonzero(sizes == d)
@@ -202,13 +202,13 @@ def _sign_witness(f, gstar):
     which leaves every Q_D unchanged, and the only D that can attain it, {i : x_i y_i > 0}
     for x and y in the right singular subspaces of F W for sigma_max and sigma_min:
     ||Q_D|| = 1 / sin of the angle between F(E_D) and F(E_D^c) (Szyld 2006), and equality
-    needs x + y on D and x - y on D^c (Bauer & Householder 1960). x and y project one fixed
-    generic vector, so a repeated extreme singular value (within GREEDY_RTOL) does not
-    leave D to the basis the SVD returns."""
+    needs x + y on D and x - y on D^c (Bauer & Householder 1960). x and y project the fixed
+    generic z_i = sin(i), so a repeated extreme singular value (within GREEDY_RTOL) does not
+    leave D to the SVD's basis; z needs no numpy.random, which only the seeded search loads."""
     w = np.sqrt(np.linalg.norm(gstar, axis=1) / np.linalg.norm(f, axis=0))
     _, s, vt = np.linalg.svd(f * w)
     kappa = s[0] * np.linalg.norm(gstar / w[:, None], 2)  # G* inverts F only to PAIR_TOL
-    z = np.random.default_rng(0).standard_normal(len(s))
+    z = np.sin(np.arange(1.0, len(s) + 1))
     top, bottom = vt[s >= s[0] / (1 + GREEDY_RTOL)], vt[s <= s[-1] * (1 + GREEDY_RTOL)]
     return (kappa + 1 / kappa) / 2, ((top @ z) @ top * ((bottom @ z) @ bottom) > 0).astype(float)
 

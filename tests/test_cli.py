@@ -334,8 +334,15 @@ def test_validate_plan_reports_nonpositive_lower_bound(tmp_path, capsys):
     (dict(PLAN, subsets=[[3.9, 4.9]]), "plan key 'subsets' is ill-typed"),
     (dict(PLAN, subsets=[[True, 2]]), "plan key 'subsets' is ill-typed"),
     (dict(PLAN, leftovers=[[5.0]]), "plan key 'leftovers' is ill-typed"),
+    (dict(PLAN, alpha="0.8"), "plan key 'alpha' is ill-typed"),
+    (dict(PLAN, alpha=True), "plan key 'alpha' is ill-typed"),
+    (dict(PLAN, alpha=None), "plan key 'alpha' is ill-typed"),
+    (dict(PLAN, cBounds=[[True, 1.0]]), "plan key 'cBounds' is ill-typed"),
+    (dict(PLAN, cBounds=[[0.5, "1.0"]]), "plan key 'cBounds' is ill-typed"),
+    (dict(PLAN, alpha="0.8", cBounds=[[True, "1.0"]]), "plan key 'alpha' is ill-typed"),
 ], ids=["no-cBounds", "no-subsets", "int-subsets", "triple-cBounds", "float-levels",
-        "bool-levels", "float-subsets", "bool-subsets", "float-leftovers"])
+        "bool-levels", "float-subsets", "bool-subsets", "float-leftovers", "str-alpha",
+        "bool-alpha", "null-alpha", "bool-cBounds", "str-cBounds", "str-alpha-bool-cBounds"])
 def test_validate_plan_malformed_exit_code(tmp_path, capsys, plan, message):
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps(plan))

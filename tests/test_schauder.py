@@ -1,6 +1,11 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from schaudermat import (
     olevskii_block,
     quasinormality_bounds,
     riesz_diagnostic,
+    save_matrix,
     summing_counterexample,
     transform_left,
     transform_right_diagonal,
@@ -837,12 +843,18 @@ class TestSignWitness:
         assert est.witness == tuple(int(i) + 1 for i in np.flatnonzero(mask))
         assert est.value == pytest.approx(value, rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.75, 0.8, 0.95])
+    @pytest.mark.parametrize("alpha", [0.71, 0.75, 0.8, 0.95, 0.99])
     def test_olevskii_blocks(self, alpha):
         # the extreme singular values of these blocks are repeated, 2^(k-1)
         # and 2 times, so the candidate must not depend on the SVD's basis
-        for k in range(2, 10):
+        for k in range(1, 10):
             self.assert_settled(olevskii_block(k, alpha), math.cosh((k - 1) * math.log(1 / alpha)))
+
+    def test_largest_olevskii_block(self):
+        # N = 1024, whose SVDs take about a second each: one alpha of the five
+        est = unconditional_constant(olevskii_block(10, 0.8), SearchBudget(exact_cutoff=0))
+        assert (est.mode, est.evaluations) == ("LowerBoundWitness", 1)
+        assert est.value == pytest.approx(math.cosh(9 * math.log(1.25)), rel=1e-12)
 
     def test_block_sums_rotated_or_not(self):
         self.assert_settled(block_sum(5), math.cosh(4 * math.log(1.25)), SearchBudget())
@@ -867,3 +879,47 @@ class TestSignWitness:
         est = unconditional_constant(pair, SearchBudget(samples=100, seed=0))
         assert est.evaluations > 1
         assert est.value == pytest.approx(1.425503125, rel=1e-12)
+
+
+# Runs the CLI and then writes, as the last line of stderr, which of the
+# submodules that numpy loads only on first use the call has loaded.
+LOADED_AFTER_MAIN = """import json, sys
+from schaudermat.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([m for m in ("numpy.random", "numpy.ma") if m in sys.modules]), file=sys.stderr)
+sys.exit(code)"""
+
+
+class TestLazyImports:
+    """A call that the sign witness settles loads numpy's core and linalg only:
+    numpy.random is for the seeded search, and numpy.ma for nothing here."""
+
+    @staticmethod
+    def run_cli(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout), json.loads(proc.stderr.splitlines()[-1])
+
+    def test_settled_calls(self, tmp_path):
+        save_matrix(tmp_path / "f.mtx", seeded_sections(101)[0].f)
+        report, loaded = self.run_cli("constants", "--matrix", str(tmp_path / "f.mtx"))
+        assert report["unconditional"]["evaluations"] == 1
+        assert loaded == []
+        report, loaded = self.run_cli("demo-harmonic", "--levels", "5")
+        assert [(c["mode"], c["evaluations"]) for c in report["unconditionalByLevel"][3:]] == [
+            ("LowerBoundWitness", 1)] * 2
+        assert loaded == []
+
+    def test_search_keeps_its_seed(self, tmp_path):
+        pair = with_dual_block(0.8)
+        save_matrix(tmp_path / "f.mtx", pair.f)
+        argv = ("constants", "--matrix", str(tmp_path / "f.mtx"), "--samples", "100")
+        first, loaded = self.run_cli(*argv, "--seed", "0")
+        assert loaded == ["numpy.random"]
+        assert self.run_cli(*argv, "--seed", "0")[0] == first
+        # the CLI reads F back exactly and inverts it
+        est = unconditional_constant(biorthogonal_inverse(pair.f), SearchBudget(samples=100, seed=0))
+        assert first["unconditional"] == est.to_json()
+        assert est.evaluations > 1 and est.value == pytest.approx(1.425503125, rel=1e-12)
