@@ -237,7 +237,8 @@ def cmd_demo_harmonic(args):
 
 
 def cmd_condition(args):
-    _emit(args, {"conditionNumber": condition_number(load_matrix(args.matrix))})
+    kappa = condition_number(load_matrix(args.matrix))
+    _emit(args, {"conditionNumber": "inf" if kappa == float("inf") else kappa})
     return EXIT_OK
 
 

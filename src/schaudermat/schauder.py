@@ -104,9 +104,7 @@ class RieszReport:
     def to_json(self):
         return {
             "sectionSizes": list(self.section_sizes),
-            "conditionNumbers": [
-                "inf" if np.isinf(c) else c for c in self.condition_numbers
-            ],
+            "conditionNumbers": ["inf" if np.isinf(c) else c for c in self.condition_numbers],
             "verdict": self.verdict,
         }
 

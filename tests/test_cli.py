@@ -514,3 +514,25 @@ def test_entry_point_exit_codes(tmp_path):
             assert json.loads(proc.stdout) == {"conditionNumber": 2.0}
         else:
             assert proc.stdout == "" and proc.stderr
+
+
+def test_singular_sections_write_inf(tmp_path):
+    """A singular or zero section has condition number "inf": exit 0, no traceback."""
+    nilpotent, zero = tmp_path / "n.mtx", tmp_path / "z.mtx"
+    save_matrix(nilpotent, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    save_matrix(zero, np.zeros((2, 2)))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    riesz = {"sectionSizes": [1, 2], "conditionNumbers": ["inf", "inf"],
+             "verdict": "Inconclusive"}
+    cases = [
+        (["condition", "--matrix", str(nilpotent)], {"conditionNumber": "inf"}),
+        (["condition", "--matrix", str(zero)], {"conditionNumber": "inf"}),
+        (["riesz", "--matrix", str(nilpotent), "--sections", "1,2"], riesz),
+        (["riesz", "--matrix", str(zero), "--sections", "1,2"], riesz),
+    ]
+    for argv, expected in cases:
+        proc = subprocess.run([sys.executable, "-m", "schaudermat.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr and proc.stderr == ""
+        assert json.loads(proc.stdout) == expected

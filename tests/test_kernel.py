@@ -7,8 +7,13 @@ from schaudermat import (
     SingularMatrixError,
     biorthogonal_inverse,
     condition_number,
+    haar_matrix,
+    harmonic_spectrum,
     invert,
+    keylemma_assemble,
+    olevskii_block,
     polar_decompose,
+    select_subsets,
     transform_right_permutation,
 )
 
@@ -69,6 +74,93 @@ class TestConditionNumber:
     def test_vector_checks(self, bad):
         with pytest.raises(ValueError):
             condition_number(bad)
+
+
+def svd_condition(m):
+    """sigma_max / sigma_min from a full SVD, inf under the kernel's 1e-14 rule."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return math.inf if s[-1] < 1e-14 * s[0] else s[0] / s[-1]
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts the calls of np.linalg.svd made after the fixture is set up."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    return calls
+
+
+class TestOrthogonalSections:
+    """Sections T U and U T (T diagonal, U orthogonal) are read off their row or
+    column norms; every other matrix takes the SVD."""
+
+    @pytest.mark.parametrize("alpha", [0.71, 0.75, 0.8, 0.95, 0.99])
+    def test_olevskii_blocks(self, alpha):
+        for k in range(1, 11):
+            block = olevskii_block(k, alpha)
+            for m in (block.f, block.gstar):
+                assert condition_number(m) == pytest.approx(svd_condition(m), rel=1e-13)
+
+    def test_haar_and_keylemma_model(self):
+        for k in (1, 4, 7):
+            assert condition_number(haar_matrix(k)) == pytest.approx(1.0, rel=1e-13)
+        spectrum = harmonic_spectrum(10000)
+        model = keylemma_assemble(spectrum, select_subsets(spectrum, 0.8, 2.0, 4).plan)
+        for m in (model.basis_matrix, model.inverse_matrix, model.onb_images):
+            assert condition_number(m) == pytest.approx(svd_condition(m), rel=1e-13)
+
+    def test_permuted_sign_flipped_rows(self, svd_calls):
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0.1, 3.0, 64) * rng.choice([-1.0, 1.0], 64)
+        f = (t[:, None] * haar_matrix(6))[rng.permutation(64)]
+        want = np.abs(t).max() / np.abs(t).min()
+        for m in (f, f.T):
+            assert condition_number(m) == pytest.approx(want, rel=1e-13)
+        assert not svd_calls
+        # A random orthogonal factor leaves Gram off-diagonals above n*eps, so
+        # this one may take the SVD; either way the value is the SVD's.
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        f = (t[:40, None] * q)[rng.permutation(40)]
+        for m in (f, f.T):
+            assert condition_number(m) == pytest.approx(svd_condition(m), rel=1e-13)
+
+    def test_fallback_equals_svd(self, svd_calls):
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+        perturbed = q + 1e-7 * rng.standard_normal((32, 32))
+        section = olevskii_block(6, 0.8).f[:40, :40]
+        for m in (perturbed, section):
+            before = len(svd_calls)
+            got = condition_number(m)
+            assert len(svd_calls) == before + 1
+            assert got == svd_condition(m)
+        assert condition_number(perturbed) > 1.0 + 1e-8
+
+    def test_zero_row_or_column_is_singular(self):
+        q = haar_matrix(3)
+        t = np.array([1.0, 2.0, 0.0, 3.0, 1.0, 1.0, 2.0, 0.5])
+        for m in (t[:, None] * q, q * t, np.zeros((3, 3)), np.zeros((1, 1))):
+            assert math.isinf(condition_number(m))
+        assert math.isinf(condition_number(np.zeros(4)))
+        with pytest.raises(SingularMatrixError, match=r"sigma_min/sigma_max = 0\.000e\+00"):
+            invert(np.zeros((2, 2)))
+
+    def test_largest_block_takes_no_svd(self, monkeypatch):
+        block = olevskii_block(10, 0.8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert condition_number(block.f) == pytest.approx(0.8 ** -9, rel=1e-14)
+        assert condition_number(block.gstar) == pytest.approx(0.8 ** -9, rel=1e-14)
+        inverse = invert(block.f)
+        assert np.max(np.abs(inverse - block.gstar)) < 1e-12
+
+    def test_extreme_scales_fall_back(self):
+        q = haar_matrix(4)
+        for scale in (1e-170, 1e170):
+            assert condition_number(scale * q) == pytest.approx(1.0, rel=1e-13)
 
 
 def permutation_matrix(perm):
