@@ -159,6 +159,8 @@ def cmd_polar(args):
 
 
 def cmd_transform(args):
+    if not (args.left or args.diag or args.perm):
+        raise ValueError("transform requires at least one of --left, --diag, --perm")
     pair = biorthogonal_inverse(load_matrix(args.matrix))
     if args.left:
         pair = transform_left(load_matrix(args.left), pair)
@@ -166,8 +168,6 @@ def cmd_transform(args):
         pair = transform_right_diagonal(pair, _floats(args.diag))
     if args.perm:
         pair = transform_right_permutation(pair, _ints(args.perm))
-    if not (args.left or args.diag or args.perm):
-        raise ValueError("transform requires at least one of --left, --diag, --perm")
     save_matrix(args.out_f, pair.f)
     save_matrix(args.out_gstar, pair.gstar)
     return EXIT_OK

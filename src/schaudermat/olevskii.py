@@ -217,18 +217,18 @@ class ConditionalModel:
     """Assembled finite-section model of the key lemma.
 
     basis_matrix F and inverse_matrix G* carry the conditional-basis section;
-    scaling X and block_unitary U realize the factorization of the reversed
-    diagonal; rearrangement is the permutation matrix sorting the blocks back
-    into original spectrum order; onb_images C = T_section rearrangement U
-    holds the images of the orthonormal basis.
+    they are the only n x n fields. scaling x is the diagonal of X, and
+    diagonal_section t that of the section T in original spectrum order.
+    rearrangement is the index vector order with R = I[order]: entry i is the
+    assembled position of the i-th spectrum value. The block unitary is
+    U = (+)_k (A_k^T (+) I) over level_sizes, and the images of the
+    orthonormal basis are C = T R U = t[:, None] * U[order].
     """
 
     basis_matrix: np.ndarray
     inverse_matrix: np.ndarray
     scaling: np.ndarray
-    block_unitary: np.ndarray
     rearrangement: np.ndarray
-    onb_images: np.ndarray
     diagonal_section: np.ndarray
     level_sizes: tuple
 
@@ -239,8 +239,8 @@ def keylemma_assemble(spectrum, plan):
     Per level k: reversed diagonal (selected lambdas in position order, then
     leftovers), scaling X_k = diag(c_k lambda/alpha^w) (+) I, block unitary
     A_k^T (+) I, and pair blocks T_(k,alpha) A_k^T (+) S_k with inverse
-    A_k T^{-1} (+) S_k^{-1}. Diagonals and the rearrangement are kept as
-    vectors; the dense fields of the model are formed from them once at the end.
+    A_k T^{-1} (+) S_k^{-1}. Only F and G* are dense; X, T and the rearrangement
+    stay vectors, and U follows from level_sizes (see ConditionalModel).
     """
     report = validate_plan(spectrum, plan)
     if not report.ok:
@@ -260,27 +260,18 @@ def keylemma_assemble(spectrum, plan):
 
     lam = np.concatenate(lam_parts)
     order = np.concatenate(order_parts)
-    n = lam.size
-    # Outside the Haar blocks, F, G*, X and U are diag(lambda), diag(1/lambda), I and I.
-    f, gstar, x, u = np.diag(lam), np.diag(1.0 / lam), np.ones(n), np.eye(n)
+    # Outside the Haar blocks, F, G* and X are diag(lambda), diag(1/lambda) and I.
+    f, gstar, x = np.diag(lam), np.diag(1.0 / lam), np.ones(lam.size)
     for k, offset in enumerate(offsets, start=1):
         sl = slice(offset, offset + 2 ** k)
         exps = np.array(weight_exponents(k), dtype=float)
         x[sl] = plan.c_bounds[k - 1][0] * lam[sl] / plan.alpha ** exps
         block = olevskii_block(k, plan.alpha)
-        f[sl, sl], gstar[sl, sl], u[sl, sl] = block.f, block.gstar, haar_matrix(k).T
-    t = lam[order]
+        f[sl, sl], gstar[sl, sl] = block.f, block.gstar
 
-    return ConditionalModel(
-        basis_matrix=f,
-        inverse_matrix=gstar,
-        scaling=np.diag(x),
-        block_unitary=u,
-        rearrangement=np.eye(n)[order],
-        onb_images=t[:, None] * u[order],
-        diagonal_section=np.diag(t),
-        level_sizes=tuple(sizes),
-    )
+    return ConditionalModel(basis_matrix=f, inverse_matrix=gstar, scaling=x,
+                            rearrangement=order, diagonal_section=lam[order],
+                            level_sizes=tuple(sizes))
 
 
 def rank1_conjugation_witness(lambda1, lambda2, delta=0.0):

@@ -7,6 +7,7 @@ harmonic demo chains selection, assembly and constant computation for the
 diagonal operator diag(1, 1/2, 1/3, ...).
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientCardinalityError
-from .olevskii import (OlevskiiPlan, _check_alpha, keylemma_assemble, validate_plan,
-                       weight_exponents)
+from .olevskii import (OlevskiiPlan, _check_alpha, haar_matrix, keylemma_assemble,
+                       validate_plan, weight_exponents)
 from .schauder import (
     BasisPair,
     SearchBudget,
@@ -127,6 +128,7 @@ def select_subsets(spectrum, alpha, delta, levels):
     Each window lies below t0, so no used value can fall in one. Block
     position p (see weight_exponents) then takes the largest value of its
     window not yet taken at this level. Bounds are c_k = 1/t0, d_k = delta/t0.
+    A short window skips, by bisection, every later t0 whose window must be short.
     """
     _check_alpha(alpha)
     if not delta > 1:
@@ -136,9 +138,10 @@ def select_subsets(spectrum, alpha, delta, levels):
 
     for k in range(1, levels + 1):
         need = 2 ** k
-        start = max(subsets[-1]) if subsets else 0  # subsets are 1-based: the next index
+        i = max(subsets[-1]) if subsets else 0  # subsets are 1-based: the next index
         failure = None  # the first candidate's first short window
-        for t0 in map(float, v[start:]):
+        while i < v.size:
+            t0 = float(v[i])
             ranges = []
             for j in range(1, k + 1):
                 top = t0 * alpha ** j
@@ -149,6 +152,11 @@ def select_subsets(spectrum, alpha, delta, levels):
                     break
             else:
                 break
+            # A later t keeps window j's top index at a or after, so it fails too
+            # while its window bottom t alpha^j / delta exceeds v[a + need - 1].
+            floor = v[a + need - 1] if a + need <= v.size else -math.inf
+            i = bisect.bisect_left(range(v.size), True, i + 1,
+                                   key=lambda m: v[m] * alpha ** j / delta <= floor)
         else:
             j, window, avail = failure or (1, (0.0, 0.0), 0)
             raise InsufficientCardinalityError(
@@ -283,8 +291,9 @@ def harmonic_demo(levels, alpha, delta, spectrum_length=10000, budget=SearchBudg
     selection = select_subsets(spectrum, alpha, delta, levels)
     model = keylemma_assemble(spectrum, selection.plan)
 
-    u = model.block_unitary
-    defect = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
+    # U^T U - I is the direct sum of the A_k A_k^T - I and a zero identity part.
+    defect = max(float(np.max(np.abs(a @ a.T - np.eye(a.shape[0]))))
+                 for a in map(haar_matrix, range(1, levels + 1)))
 
     basis_by_level, uncond_by_level = [], []
     for ell in range(1, levels + 1):

@@ -272,6 +272,18 @@ def test_transform_left_of_wrong_size(tmp_path, capsys):
     assert not out_f.exists() and not out_g.exists()
 
 
+def test_transform_without_a_factor_is_refused_before_inverting(tmp_path, capsys):
+    mat = tmp_path / "f.mtx"
+    save_matrix(mat, np.zeros((3, 3)))  # singular: inverting it would fail
+    out_f, out_g = tmp_path / "tf.mtx", tmp_path / "tg.mtx"
+    code = main(["transform", "--matrix", str(mat),
+                 "--out-f", str(out_f), "--out-gstar", str(out_g)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: transform requires at least one of --left, --diag, --perm\n"
+    assert not out_f.exists() and not out_g.exists()
+
+
 def test_lp_witness_command(capsys):
     code, out = run(capsys, "lp-witness", "--lambda1", "0.1", "--lambda2", "1")
     assert code == 0

@@ -10,6 +10,7 @@ from schaudermat import (
     SpectrumSequence,
     condition_number,
     haar_matrix,
+    harmonic_demo,
     harmonic_spectrum,
     keylemma_assemble,
     olevskii_block,
@@ -32,6 +33,16 @@ def block_diagonal(blocks):
     for b, start in zip(blocks, starts):
         out[start:start + len(b), start:start + len(b)] = b
     return out
+
+
+def dense_factors(model):
+    """R, U and C = T R U of a key-lemma model, formed densely from its vectors."""
+    blocks = []
+    for k, size in enumerate(model.level_sizes, start=1):
+        blocks += [haar_matrix(k).T, np.eye(size - 2 ** k)]
+    u = block_diagonal(blocks)
+    order = model.rearrangement
+    return np.eye(len(order))[order], u, model.diagonal_section[:, None] * u[order]
 
 
 class TestHaarMatrix:
@@ -191,40 +202,39 @@ class TestKeylemmaAssemble:
         # F = T_(1,alpha) A_1^T is 2x2
         np.testing.assert_allclose(model.basis_matrix, 0.8 * haar_matrix(1), atol=1e-14)
         # reversed diagonal factors through the scaling and the weight block
-        tilde = model.rearrangement.T @ model.diagonal_section @ model.rearrangement
+        r, _, c = dense_factors(model)
+        tilde = r.T @ np.diag(model.diagonal_section) @ r
         c1 = plan.c_bounds[0][0]
         np.testing.assert_allclose(
-            tilde, model.scaling @ (weight_matrix(1, 0.8) / c1), atol=1e-12
+            tilde, np.diag(model.scaling) @ (weight_matrix(1, 0.8) / c1), atol=1e-12
         )
         # images of the ONB are T applied to orthonormal columns, so their
         # norms stay within the spectral window
-        norms = np.linalg.norm(model.onb_images, axis=0)
+        norms = np.linalg.norm(c, axis=0)
         assert np.all(norms >= 0.9 - 1e-12) and np.all(norms <= 1.0 + 1e-12)
 
     def test_reversed_diagonal_factorization(self):
         spectrum = harmonic_spectrum(10000)
         plan = select_subsets(spectrum, 0.8, 2.0, 3).plan
         model = keylemma_assemble(spectrum, plan)
-        tilde = model.rearrangement.T @ model.diagonal_section @ model.rearrangement
+        r, _, _ = dense_factors(model)
+        tilde = r.T @ np.diag(model.diagonal_section) @ r
         blocks = []
         for k in range(1, plan.levels + 1):
             c_k = plan.c_bounds[k - 1][0]
             blocks.append(weight_matrix(k, plan.alpha) / c_k)
-        np.testing.assert_allclose(tilde, model.scaling @ block_diagonal(blocks), atol=1e-12)
+        np.testing.assert_allclose(tilde, np.diag(model.scaling) @ block_diagonal(blocks),
+                                   atol=1e-12)
 
     def test_model_invariants(self):
         spectrum = harmonic_spectrum(10000)
         plan = select_subsets(spectrum, 0.8, 2.0, 2).plan
         model = keylemma_assemble(spectrum, plan)
         n = model.basis_matrix.shape[0]
-        u = model.block_unitary
+        r, u, c = dense_factors(model)
         assert np.max(np.abs(u.T @ u - np.eye(n))) < 1e-9
         assert np.max(np.abs(model.basis_matrix @ model.inverse_matrix - np.eye(n))) < 1e-9
-        np.testing.assert_allclose(
-            model.onb_images,
-            model.diagonal_section @ model.rearrangement @ u,
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(c, np.diag(model.diagonal_section) @ r @ u, atol=1e-12)
 
     def test_scaling_condition_bound(self):
         spectrum = harmonic_spectrum(10000)
@@ -268,20 +278,38 @@ class TestKeylemmaAssemble:
         )
         model = keylemma_assemble(spectrum, plan)
         assert model.level_sizes == (4, 7)
-        r = model.rearrangement
-        assert set(np.unique(r)) == {0.0, 1.0}
-        np.testing.assert_array_equal(r.sum(axis=0), 1.0)
-        np.testing.assert_array_equal(r.sum(axis=1), 1.0)
-        t = np.diagonal(model.diagonal_section)
-        np.testing.assert_array_equal(model.diagonal_section, np.diag(t))
+        # Only F and G* are n x n; the diagonals and the rearrangement are vectors.
+        order, t = model.rearrangement, model.diagonal_section
+        assert order.shape == t.shape == model.scaling.shape == (11,)
+        assert order.dtype.kind == "i" and t.dtype == model.scaling.dtype == np.float64
+        np.testing.assert_array_equal(np.sort(order), np.arange(11))
         blocks = [
             sorted(spectrum.values[np.array(s + lo) - 1], reverse=True)
             for s, lo in zip(plan.subsets, plan.leftovers)
         ]
         np.testing.assert_array_equal(t, np.concatenate(blocks))
-        np.testing.assert_array_equal(
-            model.onb_images, model.diagonal_section @ r @ model.block_unitary
-        )
+        r, u, c = dense_factors(model)
+        np.testing.assert_array_equal(c, np.diag(t) @ r @ u)
+
+    def test_traced_peak_memory(self):
+        # F and G* take 2 n^2 doubles, and the top block pair, (n/2)^2 each,
+        # with its temporaries about 0.9 n^2 more. Dense X, U, R, C and T
+        # fields took the peak to 7.5 n^2.
+        spectrum = harmonic_spectrum(10 ** 6)
+        plan = select_subsets(spectrum, 0.8, 2.0, 8).plan
+        tracemalloc.start()
+        try:
+            model = keylemma_assemble(spectrum, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = model.basis_matrix.shape[0]
+        assert n == 510 and peak <= 4 * n * n * 8
+
+    def test_demo_unitary_defect_matches_dense(self):
+        u = block_diagonal([haar_matrix(k).T for k in range(1, 7)])
+        dense = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
+        assert harmonic_demo(6, 0.8, 2.0).unitary_defect == dense
 
     def test_invalid_plan_rejected(self):
         spectrum = SpectrumSequence(np.array([1.0, 0.9]))

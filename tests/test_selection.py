@@ -181,11 +181,13 @@ class TestSelectSubsets:
             assert len(subset) == 2 ** k
 
     def test_geometric_fails_at_three_levels(self):
-        # delta = 2 windows around a geometric(1/2) spectrum hold at most two
-        # values, so an eight-element level can never be filled
+        # A window [0.8 t / 2, 0.8 t] holds two geometric(1/2) values only if
+        # 0.8 t is a power of two, which it never is here: each holds at most
+        # one, so already the two-element level 1 cannot be filled
         spectrum = geometric_spectrum(0.5, 200)
         with pytest.raises(InsufficientCardinalityError) as err:
             select_subsets(spectrum, 0.8, 2.0, 3)
+        assert err.value.level == 1
         assert err.value.available < err.value.needed
         assert err.value.window[0] < err.value.window[1]
 
@@ -234,6 +236,18 @@ class TestSelectSubsets:
             select_subsets(harmonic_spectrum(20000), 0.8, 2.0, 10)
         e = err.value
         assert (e.level, e.exponent, e.needed, e.available) == (8, 8, 256, 0)
+
+    def test_failing_scan_skips_candidates_that_must_fail(self, monkeypatch):
+        # Levels 1-8 take 37 window searches and the failing level 9 takes 8;
+        # scanning every level-9 candidate took about 250 000.
+        calls = []
+        window = schaudermat.selection._window
+        monkeypatch.setattr(schaudermat.selection, "_window",
+                            lambda *args: calls.append(args) or window(*args))
+        with pytest.raises(InsufficientCardinalityError) as err:
+            select_subsets(harmonic_spectrum(10 ** 5), 0.8, 2.0, 9)
+        assert err.value.level == 9
+        assert len(calls) <= 64
 
     def test_bounds_come_from_t0(self):
         spectrum = harmonic_spectrum(10000)
