@@ -122,8 +122,8 @@ def cmd_constants(args):
     uc = unconditional_constant(pair, budget=_budget(args))
     qmin, qmax = quasinormality_bounds(pair.f)
     payload = {
-        "basis": bc.to_json(),
-        "unconditional": uc.to_json(),
+        "basis": bc,
+        "unconditional": uc,
         "quasinormMin": qmin,
         "quasinormMax": qmax,
     }
@@ -147,7 +147,7 @@ def cmd_dual_constants(args):
 def cmd_riesz(args):
     report = riesz_diagnostic(load_matrix(args.matrix), _ints(args.sections))
     rows = list(zip(report.section_sizes, report.condition_numbers))
-    _emit(args, report.to_json(), csv_rows=(["section", "conditionNumber"], rows))
+    _emit(args, report, csv_rows=(["section", "conditionNumber"], rows))
     return EXIT_OK
 
 
@@ -198,7 +198,7 @@ def cmd_profile(args):
 def cmd_select(args):
     spectrum = parse_spectrum(args.spectrum)
     result = select_subsets(spectrum, args.alpha, args.delta, args.levels)
-    _emit(args, result.to_json())
+    _emit(args, result)
     return EXIT_OK
 
 
@@ -207,7 +207,7 @@ def cmd_validate_plan(args):
     with open(args.plan, "r", encoding="ascii") as fh:
         plan = OlevskiiPlan.from_json(json.load(fh))
     report = validate_plan(spectrum, plan)
-    _emit(args, report.to_json())
+    _emit(args, report)
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
@@ -220,7 +220,7 @@ def cmd_cut(args):
 def cmd_ratio_check(args):
     spectrum = parse_spectrum(args.spectrum)
     report = ratio_limit_check(spectrum, args.tail)
-    _emit(args, report.to_json())
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -232,13 +232,13 @@ def cmd_demo_harmonic(args):
         spectrum_length=args.count,
         budget=_budget(args),
     )
-    _emit(args, report.to_json())
+    _emit(args, report)
     return EXIT_OK
 
 
 def cmd_condition(args):
     kappa = condition_number(load_matrix(args.matrix))
-    _emit(args, {"conditionNumber": "inf" if kappa == float("inf") else kappa})
+    _emit(args, {"conditionNumber": jsonfmt.inf_as_text(kappa)})
     return EXIT_OK
 
 

@@ -3,7 +3,7 @@
 All matrices are real 2-d numpy arrays (row-major, float64). Indices in
 documentation and file formats are 1-based. The singular values of a matrix with
 orthogonal rows or columns (T U or U T, T diagonal) are read off their norms; a
-singular matrix has condition number inf, which the CLI writes as "inf".
+singular matrix has condition number inf, which a JSON report writes as "inf".
 """
 
 from dataclasses import dataclass

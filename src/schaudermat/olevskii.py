@@ -114,15 +114,6 @@ class OlevskiiPlan:
         if len(self.leftovers) != self.levels:
             raise ValueError("leftovers must have one entry per level")
 
-    def to_json(self):
-        return {
-            "levels": self.levels,
-            "alpha": self.alpha,
-            "subsets": [list(s) for s in self.subsets],
-            "cBounds": [list(cd) for cd in self.c_bounds],
-            "leftovers": [list(s) for s in self.leftovers],
-        }
-
     @classmethod
     def from_json(cls, obj):
         """Parse a plan object; a missing or ill-typed key raises ValueError."""
@@ -149,9 +140,6 @@ class OlevskiiPlan:
 class PlanValidation:
     ok: bool
     violations: tuple
-
-    def to_json(self):
-        return {"ok": self.ok, "violations": list(self.violations)}
 
 
 # Default cap on sup_k d_k/c_k (condition (a) at finite scale).
@@ -283,10 +271,10 @@ def rank1_conjugation_witness(lambda1, lambda2, delta=0.0):
     lambda2/(2 sqrt(2) lambda1); the value is certified >= bound - WITNESS_TOL,
     and a delta for which it is not raises ValueError.
     """
-    if lambda1 <= 0 or lambda2 < lambda1:
-        raise ValueError("need 0 < lambda1 <= lambda2")
-    if delta < 0 or (lambda1 < lambda2 and delta >= (lambda2 - lambda1) / 2):
-        raise ValueError("delta must satisfy 0 <= delta < (lambda2 - lambda1)/2")
+    if not 0 < lambda1 <= lambda2 < math.inf:  # NaN fails too
+        raise ValueError(f"need 0 < lambda1 <= lambda2 < inf, got {lambda1}, {lambda2}")
+    if not (delta == 0 or 0 < delta < (lambda2 - lambda1) / 2):  # NaN fails too
+        raise ValueError(f"delta must be 0 or lie in (0, (lambda2 - lambda1)/2), got {delta}")
     a1 = lambda1 + delta
     a2 = lambda2 - delta
     e = np.array([1.0, 1.0]) / math.sqrt(2.0)

@@ -8,7 +8,7 @@ unconditional constant the maximum over all index subsets.
 """
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,9 +73,6 @@ class ConstantEstimate:
     witness: tuple  # 1-based indices
     evaluations: int
 
-    def to_json(self):
-        return dict(asdict(self), witness=list(self.witness))
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -100,13 +97,6 @@ class RieszReport:
     section_sizes: tuple
     condition_numbers: tuple
     verdict: str  # "RieszConsistent" | "NotRiesz" | "Inconclusive"
-
-    def to_json(self):
-        return {
-            "sectionSizes": list(self.section_sizes),
-            "conditionNumbers": ["inf" if np.isinf(c) else c for c in self.condition_numbers],
-            "verdict": self.verdict,
-        }
 
 
 def biorthogonal_inverse(f):

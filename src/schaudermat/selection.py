@@ -94,12 +94,12 @@ def _window(values, top, delta):
 
 def cardinality_profile(spectrum, delta, ts):
     """For each t, the number of spectrum values in [t/delta, t], inclusive."""
-    if not delta > 1:
-        raise ValueError(f"delta must exceed 1, got {delta}")
+    if not 1 < delta < math.inf:  # NaN fails too
+        raise ValueError(f"delta must be finite and exceed 1, got {delta}")
     counts = []
     for t in ts:
-        if t <= 0:
-            raise ValueError("profile points must be positive")
+        if not 0 < t < math.inf:  # NaN fails too
+            raise ValueError(f"profile points must be positive and finite, got {t}")
         a, b = _window(spectrum.values, t, delta)
         counts.append(b - a)
     return counts
@@ -110,13 +110,6 @@ class SelectionResult:
     plan: OlevskiiPlan
     t0_per_level: tuple
     cardinality_per_level: tuple
-
-    def to_json(self):
-        return {
-            "plan": self.plan.to_json(),
-            "t0PerLevel": list(self.t0_per_level),
-            "cardinalityPerLevel": [list(c) for c in self.cardinality_per_level],
-        }
 
 
 def select_subsets(spectrum, alpha, delta, levels):
@@ -131,8 +124,8 @@ def select_subsets(spectrum, alpha, delta, levels):
     A short window skips, by bisection, every later t0 whose window must be short.
     """
     _check_alpha(alpha)
-    if not delta > 1:
-        raise ValueError(f"delta must exceed 1, got {delta}")
+    if not 1 < delta < math.inf:  # NaN fails too
+        raise ValueError(f"delta must be finite and exceed 1, got {delta}")
     v = spectrum.values
     subsets, t0s, cards = [], [], []
 
@@ -213,17 +206,9 @@ def segment_cut(mu, max_ratio):
 @dataclass(frozen=True)
 class RatioLimitReport:
     passes: bool
-    tail_ratios: tuple
     max_ratio: float
     trend_ok: bool
-
-    def to_json(self):
-        return {
-            "passes": self.passes,
-            "maxRatio": self.max_ratio,
-            "trendOk": self.trend_ok,
-            "tailRatios": list(self.tail_ratios),
-        }
+    tail_ratios: tuple
 
 
 # ratio_limit_check passes only if every tail ratio is at most 1 + RATIO_TOLERANCE.
@@ -241,7 +226,8 @@ def ratio_limit_check(spectrum, tail_length):
     if not 2 <= tail_length < v.shape[0]:
         raise ValueError(f"tail length must lie in 2..{v.shape[0] - 1}, got {tail_length}")
     tail = v[-tail_length:]
-    ratios = tail[:-1] / tail[1:]
+    with np.errstate(over="ignore"):  # a ratio past the float range is +inf
+        ratios = tail[:-1] / tail[1:]
     q = max(1, ratios.shape[0] // 4)
     trend_ok = float(np.mean(ratios[-q:])) <= float(np.mean(ratios[:q]))
     max_r = float(np.max(ratios))
@@ -262,17 +248,6 @@ class HarmonicDemoReport:
     quasinorm_min: float
     quasinorm_max: float
     riesz: object
-
-    def to_json(self):
-        return {
-            "selection": self.selection.to_json(),
-            "unitaryDefect": self.unitary_defect,
-            "basisByLevel": [c.to_json() for c in self.basis_by_level],
-            "unconditionalByLevel": [c.to_json() for c in self.unconditional_by_level],
-            "quasinormMin": self.quasinorm_min,
-            "quasinormMax": self.quasinorm_max,
-            "riesz": self.riesz.to_json(),
-        }
 
 
 # Leading sections of the harmonic diagonal checked by the demo's Riesz diagnostic.

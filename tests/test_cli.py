@@ -174,7 +174,24 @@ def test_block_alpha_outside_range_writes_nothing(tmp_path, capsys):
      "refined grid length must be at most 10000000, got 23025854"),
     (["cut", "--mu", "inf,1", "--max-ratio", "2"], "grid must be strictly decreasing"),
     (["cut", "--mu", "1,0.1", "--max-ratio", "nan"], "ratio bound must be finite and exceed 1"),
-], ids=["counterexample", "profile", "cut-length", "cut-inf", "cut-nan"])
+    (["profile", "--spectrum", "harmonic:100", "--delta", "2", "--ts", "nan", "--format", "csv"],
+     "profile points must be positive and finite, got nan"),
+    (["profile", "--spectrum", "harmonic:100", "--delta", "2", "--ts", "inf", "--format", "csv"],
+     "profile points must be positive and finite, got inf"),
+    (["profile", "--spectrum", "harmonic:100", "--delta", "inf", "--ts", "0.1"],
+     "delta must be finite and exceed 1, got inf"),
+    (["select", "--spectrum", "harmonic:1000", "--alpha", "0.8", "--delta", "inf",
+      "--levels", "2"], "delta must be finite and exceed 1, got inf"),
+    (["demo-harmonic", "--levels", "2", "--delta", "nan"], "delta must be finite and exceed 1"),
+    (["lp-witness", "--lambda1", "nan", "--lambda2", "1"], "need 0 < lambda1 <= lambda2 < inf"),
+    (["lp-witness", "--lambda1", "1", "--lambda2", "inf"], "need 0 < lambda1 <= lambda2 < inf"),
+    (["lp-witness", "--lambda1", "0.1", "--lambda2", "1", "--delta", "nan"],
+     "delta must be 0 or lie in (0, (lambda2 - lambda1)/2), got nan"),
+    (["lp-witness", "--lambda1", "1", "--lambda2", "1", "--delta", "0.5"],
+     "delta must be 0 or lie in (0, (lambda2 - lambda1)/2), got 0.5"),
+], ids=["counterexample", "profile", "cut-length", "cut-inf", "cut-nan", "profile-t-nan",
+        "profile-t-inf", "profile-delta-inf", "select-delta-inf", "demo-delta-nan",
+        "lp-lambda-nan", "lp-lambda-inf", "lp-delta-nan", "lp-equal-lambdas-delta"])
 def test_sizes_above_limit_exit_code(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     code = main(argv)
@@ -396,6 +413,16 @@ def test_ratio_check_command(capsys):
     assert json.loads(out)["passes"] is False
 
 
+def test_ratio_check_overflowing_ratio_reads_inf(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text("1e308\n1e307\n1e-300\n1e-301\n")  # 1e307 / 1e-300 overflows
+    code = main(["ratio-check", "--spectrum", str(path), "--tail", "3"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out) == {"passes": False, "maxRatio": "inf", "trendOk": True,
+                                        "tailRatios": ["inf", 10.0]}
+
+
 def test_demo_harmonic_command(capsys):
     code, out = run(
         capsys, "demo-harmonic", "--levels", "2", "--alpha", "0.8", "--delta", "2"
@@ -548,3 +575,44 @@ def test_singular_sections_write_inf(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr and proc.stderr == ""
         assert json.loads(proc.stdout) == expected
+
+
+def key_lists(obj):
+    """The key list of each JSON object in *obj*, outer before nested, in document order."""
+    if isinstance(obj, dict):
+        yield list(obj)
+        obj = list(obj.values())
+    for value in obj if isinstance(obj, list) else ():
+        yield from key_lists(value)
+
+
+ESTIMATE = ["value", "mode", "witness", "evaluations"]
+RIESZ = ["sectionSizes", "conditionNumbers", "verdict"]
+PLAN_KEYS = ["levels", "alpha", "subsets", "cBounds", "leftovers"]
+SELECTION = [["plan", "t0PerLevel", "cardinalityPerLevel"], PLAN_KEYS]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["constants", "--matrix", "m.mtx"],
+     [["basis", "unconditional", "quasinormMin", "quasinormMax"], ESTIMATE, ESTIMATE]),
+    (["riesz", "--matrix", "m.mtx", "--sections", "2,4"], [RIESZ]),
+    (["condition", "--matrix", "m.mtx"], [["conditionNumber"]]),
+    (["select", "--spectrum", "harmonic:10000", "--alpha", "0.8", "--delta", "2",
+      "--levels", "2"], SELECTION),
+    (["validate-plan", "--spectrum", "harmonic:10000", "--plan", "plan.json"],
+     [["ok", "violations"]]),
+    (["ratio-check", "--spectrum", "harmonic:1000", "--tail", "50"],
+     [["passes", "maxRatio", "trendOk", "tailRatios"]]),
+    (["demo-harmonic", "--levels", "2"],
+     [["selection", "unitaryDefect", "basisByLevel", "unconditionalByLevel", "quasinormMin",
+       "quasinormMax", "riesz"], *SELECTION, *[ESTIMATE] * 4, RIESZ]),
+], ids=["constants", "riesz", "condition", "select", "validate-plan", "ratio-check",
+        "demo-harmonic"])
+def test_report_key_order(tmp_path, capsys, monkeypatch, argv, keys):
+    monkeypatch.chdir(tmp_path)
+    save_matrix("m.mtx", olevskii_block(2, 0.8).f)
+    Path("plan.json").write_text(json.dumps(
+        {"levels": 1, "alpha": 0.8, "subsets": [[2, 3]], "cBounds": [[1.5, 3.0]]}))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert list(key_lists(json.loads(out))) == keys

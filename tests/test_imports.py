@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is referenced in the package, every
-public one in a package module other than __init__.py, and every defaulted
-parameter is passed by some call in the package."""
+public one in a package module other than __init__.py, every defaulted
+parameter is passed by some call in the package, and no class writes its
+own JSON: jsonfmt.dumps maps every report."""
 
 import ast
 import math
@@ -66,6 +67,27 @@ def test_checker_flags_dead_helper():
 def test_no_dead_helpers():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced(sources) == []
+
+
+def json_writers(source):
+    """Classes in *source* that define a to_json method."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ClassDef)
+                  and any(isinstance(f, ast.FunctionDef) and f.name == "to_json"
+                          for f in node.body))
+
+
+def test_checker_flags_json_writer():
+    source = ("class Report:\n    def to_json(self): pass\n"
+              "class Plan:\n    @classmethod\n    def from_json(cls, obj): pass\n"
+              "def to_json(x): pass\n"
+              "def f():\n    class Local:\n        def to_json(self): pass\n")
+    assert json_writers(source) == ["Local", "Report"]
+
+
+def test_no_class_writes_its_own_json():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert [name for source in sources for name in json_writers(source)] == []
 
 
 def test_checker_flags_unreached_public_name():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import pytest
 
@@ -68,3 +69,51 @@ def test_non_finite_raises(value):
 def test_unknown_type_raises():
     with pytest.raises(TypeError):
         dumps({"x": object()})
+
+
+@dataclass(frozen=True)
+class Inner:
+    max_ratio: float
+
+
+@dataclass(frozen=True)
+class Report:
+    section_sizes: tuple
+    condition_numbers: tuple
+    inner_report: Inner
+    upper_bound: float
+
+
+REPORT_GOLDEN = """\
+{
+  "sectionSizes": [
+    4,
+    16
+  ],
+  "conditionNumbers": [
+    2.5,
+    "inf"
+  ],
+  "innerReport": {
+    "maxRatio": "inf"
+  },
+  "upperBound": 0.1
+}
+"""
+
+
+def test_report_golden_bytes():
+    report = Report(section_sizes=(4, 16), condition_numbers=(2.5, math.inf),
+                    inner_report=Inner(max_ratio=math.inf), upper_bound=0.1)
+    assert dumps(report) == REPORT_GOLDEN
+
+
+@pytest.mark.parametrize("report", [
+    Inner(max_ratio=-math.inf),
+    Inner(max_ratio=math.nan),
+    Report(section_sizes=((1, math.inf),), condition_numbers=(), inner_report=Inner(1.0),
+           upper_bound=1.0),
+], ids=["minus-inf", "nan", "nested-inf"])
+def test_report_non_finite_raises(report):
+    with pytest.raises(ValueError):
+        dumps(report)

@@ -28,6 +28,8 @@ from schaudermat import (
     transform_right_permutation,
     unconditional_constant,
 )
+from schaudermat import jsonfmt
+from schaudermat.olevskii import weight_exponents
 from schaudermat.schauder import (
     _BATCH,
     GREEDY_RTOL,
@@ -67,6 +69,24 @@ def projection(pair, indices):
     mask = np.zeros(pair.size)
     mask[np.asarray(list(indices), dtype=int) - 1] = 1.0
     return (pair.f * mask) @ pair.gstar
+
+
+def haar_cut_norms(k, alpha):
+    """||Q_m|| of olevskii_block(k, alpha) for m = 1..2^k, in Haar coordinates.
+
+    Q_m = diag(w) A^T P_m A diag(1/w) acts as the identity on the Haar columns
+    of A = A_k supported above the cut m and as 0 on those supported below it.
+    What remains is the columns S that are nonzero on both sides, so
+    ||Q_m|| = max(1, ||diag(w_S) (A[:m,S]^T A[:m,S]) diag(1/w_S)||).
+    """
+    a = haar_matrix(k)
+    w = np.array([alpha ** j for j in weight_exponents(k)])
+    norms = []
+    for m in range(1, 2 ** k):
+        s = a[:m].any(axis=0) & a[m:].any(axis=0)
+        top = a[:m, s]
+        norms.append(max(1.0, np.linalg.norm(w[s, None] * (top.T @ top) / w[s], 2)))
+    return norms + [1.0]  # Q_(2^k) = I
 
 
 def block_diagonal(blocks):
@@ -175,14 +195,15 @@ class TestBasisConstant:
         assert np.linalg.norm(q, 2) == pytest.approx(est.value, abs=1e-9)
 
     def test_olevskii_blocks_beyond_enumeration(self):
-        # the level trend of the weighted Haar blocks up to N = 512, where
-        # prefixes longer than N/2 are solved through their suffixes
-        trend = [1.0, 1.025, 1.0697, 1.1247, 1.1840, 1.2442, 1.3033, 1.3603, 1.4147]
-        for k, want in enumerate(trend, start=1):
+        # weighted Haar blocks up to N = 512, where prefixes longer than N/2
+        # are solved through their suffixes, against the Haar-coordinate oracle
+        for k in range(1, 10):
             pair = olevskii_block(k, 0.8)
             est = basis_constant(pair)
-            assert est.value == pytest.approx(want, abs=5e-5)
+            cuts = haar_cut_norms(k, 0.8)
+            assert est.value == pytest.approx(max(cuts), rel=1e-12)
             assert est.witness == tuple(range(1, len(est.witness) + 1))
+            assert cuts[len(est.witness) - 1] == pytest.approx(est.value, rel=1e-12)
             q = projection(pair, est.witness)
             assert np.linalg.norm(q, 2) == pytest.approx(est.value, rel=1e-12)
 
@@ -921,5 +942,5 @@ class TestLazyImports:
         assert self.run_cli(*argv, "--seed", "0")[0] == first
         # the CLI reads F back exactly and inverts it
         est = unconditional_constant(biorthogonal_inverse(pair.f), SearchBudget(samples=100, seed=0))
-        assert first["unconditional"] == est.to_json()
+        assert first["unconditional"] == json.loads(jsonfmt.dumps(est))
         assert est.evaluations > 1 and est.value == pytest.approx(1.425503125, rel=1e-12)
