@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import jsonfmt
 from .errors import InsufficientCardinalityError, PlanValidationError
 from .kernel import condition_number, polar_decompose
@@ -116,29 +118,27 @@ def cmd_counterexample(args):
     return EXIT_OK
 
 
+def _scaled_pair(f):
+    """The pair of a loaded F scaled in place by the power of two that brings its largest
+    entry into [1, 2): exact, and no F P G* changes, while F^T F and G* G*^T stay in range."""
+    e = np.frexp(max(f.max(), -f.min()))[1] - 1
+    return biorthogonal_inverse(np.ldexp(f, -e, out=f))
+
+
 def cmd_constants(args):
-    pair = biorthogonal_inverse(load_matrix(args.matrix))
+    f = load_matrix(args.matrix)
+    qmin, qmax = quasinormality_bounds(f)
+    pair = _scaled_pair(f)
     bc = basis_constant(pair)
     uc = unconditional_constant(pair, budget=_budget(args))
-    qmin, qmax = quasinormality_bounds(pair.f)
-    payload = {
-        "basis": bc,
-        "unconditional": uc,
-        "quasinormMin": qmin,
-        "quasinormMax": qmax,
-    }
-    rows = [
-        ("basis", bc.value),
-        ("unconditional", uc.value),
-        ("quasinormMin", qmin),
-        ("quasinormMax", qmax),
-    ]
+    payload = {"basis": bc, "unconditional": uc, "quasinormMin": qmin, "quasinormMax": qmax}
+    rows = [(key, getattr(v, "value", v)) for key, v in payload.items()]
     _emit(args, payload, csv_rows=(["quantity", "value"], rows))
     return EXIT_OK
 
 
 def cmd_dual_constants(args):
-    pair = biorthogonal_inverse(load_matrix(args.matrix))
+    pair = _scaled_pair(load_matrix(args.matrix))
     # The dual basis (G, F^T) has projections G P_n F^T = (F P_n G*)^T, of the same norms.
     _emit(args, {"dualBasis": basis_constant(pair).value})
     return EXIT_OK
@@ -175,14 +175,7 @@ def cmd_transform(args):
 
 def cmd_lp_witness(args):
     p, value, bound = rank1_conjugation_witness(args.lambda1, args.lambda2, args.delta)
-    _emit(
-        args,
-        {
-            "normValue": value,
-            "bound": bound,
-            "projection": [[float(x) for x in row] for row in p],
-        },
-    )
+    _emit(args, {"normValue": value, "bound": bound, "projection": p.tolist()})
     return EXIT_OK
 
 

@@ -198,7 +198,7 @@ def _sign_witness(f, gstar):
     kappa = s[0] * np.linalg.norm(gstar / w[:, None], 2)  # G* inverts F only to PAIR_TOL
     z = np.sin(np.arange(1.0, len(s) + 1))
     top, bottom = vt[s >= s[0] / (1 + GREEDY_RTOL)], vt[s <= s[-1] * (1 + GREEDY_RTOL)]
-    return (kappa + 1 / kappa) / 2, ((top @ z) @ top * ((bottom @ z) @ bottom) > 0).astype(float)
+    return (kappa + 1 / kappa) / 2, (top @ z) @ top * ((bottom @ z) @ bottom) > 0
 
 
 def _attained(f, gstar, mask):
@@ -206,8 +206,10 @@ def _attained(f, gstar, mask):
     return float(np.linalg.norm((f * mask) @ gstar, 2))
 
 
-def _batches(masks):
-    return (masks[start:start + _BATCH] for start in range(0, masks.shape[0], _BATCH))
+def _prefix_batches(n):
+    """The boolean prefix masks {1..m}, m = 1..n, _BATCH at a time."""
+    for start in range(0, n, _BATCH):
+        yield np.arange(n) < np.arange(start + 1, min(start + _BATCH, n) + 1)[:, None]
 
 
 def _subset_batches(n):
@@ -219,7 +221,7 @@ def _subset_batches(n):
     for start in range(1, 2 ** (n - 1) + 1, _BATCH):
         codes = np.arange(start, min(start + _BATCH, 2 ** (n - 1) + 1))
         codes[codes == 2 ** (n - 1)] = 2 ** n - 1  # {n} pairs with code 2^(n-1) - 1
-        yield ((codes[:, None] >> bits) & 1).astype(float)
+        yield ((codes[:, None] >> bits) & 1).astype(bool)
 
 
 def _estimate(f, gstar, mask, mode, evaluations):
@@ -228,10 +230,20 @@ def _estimate(f, gstar, mask, mode, evaluations):
     return ConstantEstimate(_attained(f, gstar, mask), mode, witness, evaluations)
 
 
+def _check_range(pair):
+    """Refuse entries above sqrt(max float / N), where F^T F or G* G*^T may overflow;
+    F -> 2^-e F, G* -> 2^e G* brings a pair into range exactly and keeps every F P G*."""
+    top = max(pair.f.max(), -pair.f.min(), pair.gstar.max(), -pair.gstar.min())
+    if top > np.sqrt(np.finfo(float).max / pair.size):
+        raise ValueError(f"pair entry {top:.3g} is out of range for F^T F and G* G*^T: "
+                         "scale F by a power of two")
+
+
 def basis_constant(pair):
     """Exact maximum of ||F P_n G*|| over prefixes n = 1..N."""
+    _check_range(pair)
     n = pair.size
-    _, mask = _best_mask(pair.f, pair.gstar, _batches(np.tril(np.ones((n, n)))))
+    _, mask = _best_mask(pair.f, pair.gstar, _prefix_batches(n))
     return _estimate(pair.f, pair.gstar, mask, "Exact", n)
 
 
@@ -245,6 +257,7 @@ def unconditional_constant(pair, budget=SearchBudget()):
     all prefixes, budget.samples random subsets and greedy single-index flips, until no
     flip gains more than GREEDY_RTOL. The value is the witness's norm recomputed by SVD.
     """
+    _check_range(pair)
     n = pair.size
     f, gstar = pair.f, pair.gstar
     if n <= budget.exact_cutoff:
@@ -258,14 +271,13 @@ def unconditional_constant(pair, budget=SearchBudget()):
         return settled
 
     rng = np.random.default_rng(budget.seed)
-    sampled = (rng.integers(0, 2, size=(min(_BATCH, budget.samples - start), n)).astype(float)
+    sampled = (rng.integers(0, 2, size=(min(_BATCH, budget.samples - start), n)).astype(bool)
                for start in range(0, budget.samples, _BATCH))
-    best_value, best_mask = _best_mask(
-        f, gstar, itertools.chain(_batches(np.tril(np.ones((n, n)))), sampled))
+    best_value, best_mask = _best_mask(f, gstar, itertools.chain(_prefix_batches(n), sampled))
     evaluations = n + budget.samples  # and n per greedy round below
 
     while True:
-        flips = np.abs(best_mask - np.eye(n))  # row i flips index i+1
+        flips = best_mask ^ np.eye(n, dtype=bool)  # row i flips index i+1
         evaluations += n
         value, mask = _best_mask(f, gstar, [flips], floor=best_value * (1 + GREEDY_RTOL))
         if mask is None:
@@ -276,9 +288,12 @@ def unconditional_constant(pair, budget=SearchBudget()):
 
 
 def quasinormality_bounds(f):
-    """(min, max) Euclidean column norms of F."""
+    """(min, max) Euclidean column norms of F, each column scaled first by the power of
+    two of its largest entry (exact), so that no square overflows or underflows."""
     a = as_matrix(f)
-    norms = np.linalg.norm(a, axis=0)
+    e = np.frexp(np.maximum(a.max(axis=0), -a.min(axis=0)))[1]
+    b = np.ldexp(a, -e)
+    norms = np.ldexp(np.sqrt(np.add.reduce(np.multiply(b, b, out=b), axis=0)), e)
     return float(np.min(norms)), float(np.max(norms))
 
 
@@ -342,9 +357,13 @@ def transform_right_diagonal(pair, d):
     dv = np.asarray(list(d), dtype=float)
     if dv.ndim != 1 or dv.shape[0] != pair.size:
         raise ValueError(f"diagonal must have length {pair.size}")
-    if np.any(dv == 0.0):
-        raise ValueError("diagonal entries must be nonzero")
-    return BasisPair(f=pair.f * dv, gstar=pair.gstar / dv[:, None])
+    if not np.all(np.isfinite(dv) & (dv != 0.0)):
+        raise ValueError("diagonal entries must be finite and nonzero")
+    with np.errstate(over="ignore"):
+        f, gstar = pair.f * dv, pair.gstar / dv[:, None]
+    if not (np.isfinite(f).all() and np.isfinite(gstar).all()):
+        raise ValueError("F D or D^-1 G* overflows: the diagonal is out of range")
+    return BasisPair(f=f, gstar=gstar)
 
 
 def transform_right_permutation(pair, perm):

@@ -165,6 +165,18 @@ def test_block_alpha_outside_range_writes_nothing(tmp_path, capsys):
     assert not f.exists() and not g.exists()
 
 
+# Input files that cases of test_sizes_above_limit_exit_code read, by the name in their argv.
+REFUSAL_INPUTS = {
+    "h2.mtx": haar_matrix(2),
+    "wide.mtx": "2 3\n1 0 0\n0 1 0\n",
+    "three.mtx": "2 2 2\n1 0\n0 1\n",
+    "x.mtx": "2 x\n1 0\n0 1\n",
+    "zero.mtx": "0 2\n",
+    "comments.mtx": "# a comment\n\n",
+    "empty.txt": "# a comment\n",
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["counterexample", "--n", "4097", "--out-f", "f.mtx", "--out-gstar", "g.mtx"],
      "n must lie in 1..4096, got 4097"),
@@ -189,17 +201,74 @@ def test_block_alpha_outside_range_writes_nothing(tmp_path, capsys):
      "delta must be 0 or lie in (0, (lambda2 - lambda1)/2), got nan"),
     (["lp-witness", "--lambda1", "1", "--lambda2", "1", "--delta", "0.5"],
      "delta must be 0 or lie in (0, (lambda2 - lambda1)/2), got 0.5"),
+    (["transform", "--matrix", "h2.mtx", "--diag", "1e-320,1,1,1", "--out-f", "f.mtx",
+      "--out-gstar", "g.mtx"], "F D or D^-1 G* overflows: the diagonal is out of range"),
+    (["transform", "--matrix", "h2.mtx", "--diag", "nan,1,1,1", "--out-f", "f.mtx",
+      "--out-gstar", "g.mtx"], "diagonal entries must be finite and nonzero"),
+    (["transform", "--matrix", "h2.mtx", "--diag", "1,inf,1,1", "--out-f", "f.mtx",
+      "--out-gstar", "g.mtx"], "diagonal entries must be finite and nonzero"),
+    (["transform", "--matrix", "h2.mtx", "--diag", "1,2", "--out-f", "f.mtx",
+      "--out-gstar", "g.mtx"], "diagonal must have length 4"),
+    (["riesz", "--matrix", "h2.mtx", "--sections", "4,2"],
+     "section sizes must be strictly increasing"),
+    (["condition", "--matrix", "wide.mtx"], "expected a square matrix, got shape (2, 3)"),
+    (["constants", "--matrix", "three.mtx"], "three.mtx: line 1: expected 'rows cols'"),
+    (["constants", "--matrix", "x.mtx"], "x.mtx: line 1: bad dimensions '2 x'"),
+    (["constants", "--matrix", "zero.mtx"], "zero.mtx: line 1: dimensions must be positive"),
+    (["constants", "--matrix", "comments.mtx"], "comments.mtx: no header line found"),
+    (["profile", "--spectrum", "geometric:1.5:10", "--delta", "2", "--ts", "1"],
+     "ratio must lie in (0, 1)"),
+    (["profile", "--spectrum", "empty.txt", "--delta", "2", "--ts", "1"],
+     "spectrum must be a nonempty 1-d sequence"),
 ], ids=["counterexample", "profile", "cut-length", "cut-inf", "cut-nan", "profile-t-nan",
         "profile-t-inf", "profile-delta-inf", "select-delta-inf", "demo-delta-nan",
-        "lp-lambda-nan", "lp-lambda-inf", "lp-delta-nan", "lp-equal-lambdas-delta"])
+        "lp-lambda-nan", "lp-lambda-inf", "lp-delta-nan", "lp-equal-lambdas-delta",
+        "transform-diag-overflow", "transform-diag-nan", "transform-diag-inf",
+        "transform-diag-length", "riesz-sections-order", "condition-not-square",
+        "header-three-fields", "header-not-integer", "header-zero-rows", "no-header",
+        "geometric-ratio", "empty-spectrum-file"])
 def test_sizes_above_limit_exit_code(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
+    inputs = sorted(name for name in REFUSAL_INPUTS if name in argv)
+    for name in inputs:
+        if isinstance(REFUSAL_INPUTS[name], str):
+            Path(name).write_text(REFUSAL_INPUTS[name])
+        else:
+            save_matrix(name, REFUSAL_INPUTS[name])
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert message in captured.err
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs  # nothing written
+
+
+@pytest.mark.parametrize("argv", [["constants"], ["dual-constants"], ["condition"],
+                                  ["riesz", "--sections", "2,4,8"]],
+                         ids=["constants", "dual-constants", "condition", "riesz"])
+def test_reports_keep_their_values_at_any_scale(tmp_path, capsys, argv):
+    # A section scaled by 2^600 or 2^-600 squares out of range; each report is that of
+    # the unscaled section, with quasinorms scaled exactly and no warning on stderr.
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))
+    f, mat = q @ olevskii_block(3, 0.8).f, tmp_path / "m.mtx"
+    reports = {}
+    for e in (0, 600, -600):
+        save_matrix(mat, np.ldexp(f, e))
+        code = main([argv[0], "--matrix", str(mat), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        reports[e] = json.loads(captured.out)
+    base = reports.pop(0)
+    for e, report in reports.items():
+        for key in ("quasinormMin", "quasinormMax"):
+            if key in base:
+                assert report[key] == math.ldexp(base[key], e)
+                report[key] = base[key]
+        for key in ("conditionNumber", "conditionNumbers"):
+            if key in base:
+                assert report[key] == pytest.approx(base[key], rel=1e-12)
+                report[key] = base[key]
+        assert report == base
 
 
 def test_counterexample_and_dual(tmp_path, capsys):
@@ -369,9 +438,13 @@ def test_validate_plan_reports_nonpositive_lower_bound(tmp_path, capsys):
     (dict(PLAN, cBounds=[[True, 1.0]]), "plan key 'cBounds' is ill-typed"),
     (dict(PLAN, cBounds=[[0.5, "1.0"]]), "plan key 'cBounds' is ill-typed"),
     (dict(PLAN, alpha="0.8", cBounds=[[True, "1.0"]]), "plan key 'alpha' is ill-typed"),
+    (dict(PLAN, levels=0), "levels must be >= 1"),
+    (dict(PLAN, levels=2), "subsets and c_bounds must have one entry per level"),
+    (dict(PLAN, leftovers=[[], []]), "leftovers must have one entry per level"),
 ], ids=["no-cBounds", "no-subsets", "int-subsets", "triple-cBounds", "float-levels",
         "bool-levels", "float-subsets", "bool-subsets", "float-leftovers", "str-alpha",
-        "bool-alpha", "null-alpha", "bool-cBounds", "str-cBounds", "str-alpha-bool-cBounds"])
+        "bool-alpha", "null-alpha", "bool-cBounds", "str-cBounds", "str-alpha-bool-cBounds",
+        "zero-levels", "levels-without-subsets", "leftovers-per-level"])
 def test_validate_plan_malformed_exit_code(tmp_path, capsys, plan, message):
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps(plan))
@@ -380,6 +453,18 @@ def test_validate_plan_malformed_exit_code(tmp_path, capsys, plan, message):
     assert code == 1
     assert captured.out == ""
     assert message in captured.err
+
+@pytest.mark.parametrize("plan, violation", [
+    (dict(PLAN, subsets=[[1, 2, 3]]), "condition (c): level 1 has 3 indices, expected 2"),
+    (dict(PLAN, subsets=[[1, 11]]), "level 1: index 11 outside spectrum of length 10"),
+], ids=["subset-size", "index-outside-spectrum"])
+def test_validate_plan_reports_violation(tmp_path, capsys, plan, violation):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(plan))
+    code, out = run(capsys, "validate-plan", "--spectrum", "harmonic:10", "--plan", str(plan_file))
+    assert code == 2
+    assert json.loads(out) == {"ok": False, "violations": [violation]}
+
 
 def test_select_failure_exit_code(capsys):
     code, _ = run(

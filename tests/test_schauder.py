@@ -37,6 +37,7 @@ from schaudermat.schauder import (
     PAIR_TOL,
     _best_mask,
     _masked_norms,
+    _prefix_batches,
     _subset_batches,
     _sign_witness,
 )
@@ -207,6 +208,18 @@ class TestBasisConstant:
             q = projection(pair, est.witness)
             assert np.linalg.norm(q, 2) == pytest.approx(est.value, rel=1e-12)
 
+    def test_traced_peak_memory(self):
+        # Boolean prefix masks made _BATCH at a time: 5.15 n^2 doubles at N = 256 under
+        # tracemalloc with numpy 2.4; an n x n float prefix triangle took it to 6.03.
+        pair = olevskii_block(8, 0.8)
+        tracemalloc.start()
+        try:
+            basis_constant(pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 8 * pair.size ** 2
+
 
 class TestUnconditionalConstant:
     def test_identity_exact(self):
@@ -314,6 +327,16 @@ class TestQuasinormality:
         lo, hi = quasinormality_bounds(olevskii_block(1, 0.9).f)
         assert lo == pytest.approx(0.9, abs=1e-12)
         assert hi == pytest.approx(0.9, abs=1e-12)
+
+    @pytest.mark.parametrize("f", [olevskii_block(5, 0.8).f, olevskii_block(5, 0.8).gstar.T,
+                                   np.random.default_rng(9).standard_normal((7, 5))],
+                             ids=["F-order", "transposed", "random"])
+    def test_power_of_two_scaling_is_exact(self, f):
+        norms = np.linalg.norm(f, axis=0)
+        assert quasinormality_bounds(f) == (norms.min(), norms.max())
+        for e in (600, -600, 1000, -1000):
+            expected = (math.ldexp(norms.min(), e), math.ldexp(norms.max(), e))
+            assert quasinormality_bounds(np.ldexp(f, e)) == expected
 
 
 class TestRieszDiagnostic:
@@ -757,7 +780,16 @@ def assert_one_member_per_complementary_pair(masks, n):
 def test_subset_batches_cover_each_complementary_pair_once(n, sizes):
     batches = list(_subset_batches(n))
     assert [len(b) for b in batches] == sizes
+    assert all(b.dtype == bool for b in batches)
     assert_one_member_per_complementary_pair(np.vstack(batches), n)
+
+
+@pytest.mark.parametrize("n, sizes", [(1, [1]), (5, [5]), (2048, [2048]), (2049, [2048, 1])])
+def test_prefix_batches_are_boolean_prefixes(n, sizes):
+    batches = list(_prefix_batches(n))
+    assert [len(b) for b in batches] == sizes
+    assert all(b.dtype == bool for b in batches)
+    np.testing.assert_array_equal(np.vstack(batches), np.tril(np.ones((n, n), dtype=bool)))
 
 
 def with_dual_block(alpha):
@@ -944,3 +976,35 @@ class TestLazyImports:
         est = unconditional_constant(biorthogonal_inverse(pair.f), SearchBudget(samples=100, seed=0))
         assert first["unconditional"] == json.loads(jsonfmt.dumps(est))
         assert est.evaluations > 1 and est.value == pytest.approx(1.425503125, rel=1e-12)
+
+
+def scaled_block(e):
+    """A rotated level-3 block pair with F scaled by 2^e and G* by 2^-e."""
+    pair = rotated(np.random.default_rng(3), olevskii_block(3, 0.8))
+    return BasisPair(f=np.ldexp(pair.f, e), gstar=np.ldexp(pair.gstar, -e))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BasisPair(f=np.eye(2), gstar=np.eye(3)),
+     "pair must be square of equal shape, got (2, 2) and (3, 3)"),
+    (lambda: weight_exponents(0), "k must be >= 1"),
+    (lambda: basis_constant(scaled_block(600)), "is out of range for F^T F and G* G*^T"),
+    (lambda: basis_constant(scaled_block(-600)), "is out of range for F^T F and G* G*^T"),
+    (lambda: unconditional_constant(scaled_block(600)), "is out of range for F^T F"),
+    (lambda: unconditional_constant(scaled_block(-600), SearchBudget(exact_cutoff=0)),
+     "is out of range for F^T F"),
+    (lambda: basis_constant(BasisPair(f=np.diag([1e200, 2.0]), gstar=np.diag([1e-200, 0.5]))),
+     "pair entry 1e+200 is out of range"),
+    (lambda: transform_right_diagonal(summing_counterexample(3), [1.0, np.nan, 2.0]),
+     "diagonal entries must be finite and nonzero"),
+    (lambda: transform_right_diagonal(summing_counterexample(3), [1.0, 1e-320, 2.0]),
+     "F D or D^-1 G* overflows"),
+    (lambda: transform_right_diagonal(biorthogonal_inverse(4 * np.eye(3)), [1.0, 1e308, 2.0]),
+     "F D or D^-1 G* overflows"),
+], ids=["pair-shapes", "weight-level", "basis-big", "basis-small", "exact-big",
+        "search-small", "basis-diagonal", "diagonal-nan", "diagonal-subnormal", "diagonal-huge"])
+def test_library_refusals(call, message):
+    # a ValueError with a message, and no numpy warning (an error under this suite)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert message in str(info.value)
