@@ -26,7 +26,7 @@ from .olevskii import (
     olevskii_block,
     rank1_conjugation_witness,
     validate_plan,
-    weight_matrix,
+    weight_vector,
 )
 from .schauder import (
     BasisPair,

@@ -21,7 +21,7 @@ from .olevskii import (
     olevskii_block,
     rank1_conjugation_witness,
     validate_plan,
-    weight_matrix,
+    weight_vector,
 )
 from .schauder import (
     SearchBudget,
@@ -80,9 +80,9 @@ def _budget(args):
 
 
 def _add_budget_flags(p):
-    p.add_argument("--exact-cutoff", type=int, default=16)
-    p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--exact-cutoff", type=int, default=SearchBudget.exact_cutoff)
+    p.add_argument("--samples", type=int, default=SearchBudget.samples)
+    p.add_argument("--seed", type=int, default=SearchBudget.seed)
 
 
 def _add_report_flags(p, csv=False):
@@ -98,7 +98,7 @@ def cmd_haar(args):
 
 
 def cmd_weight(args):
-    save_matrix(args.out, weight_matrix(args.k, args.alpha))
+    save_matrix(args.out, np.diag(weight_vector(args.k, args.alpha)))
     return EXIT_OK
 
 

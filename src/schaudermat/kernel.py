@@ -106,5 +106,5 @@ def polar_decompose(m):
     if s[0] == 0.0 or s[-1] < SINGULAR_RTOL * s[0]:
         raise SingularMatrixError("polar decomposition requires a nonsingular matrix")
     unitary = w @ vt
-    positive = vt.T @ np.diag(s) @ vt
+    positive = (vt.T * s) @ vt  # V^T diag(s) V, with the diagonal kept as a vector
     return PolarFactors(unitary=unitary, positive=positive)

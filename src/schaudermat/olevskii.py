@@ -1,7 +1,7 @@
 """Concrete conditional-basis generators.
 
-Builds the Haar-type orthogonal matrices A_k, the diagonal weight matrices
-T_(k,alpha), their product blocks T_(k,alpha) A_k^T, and the key-lemma
+Builds the Haar-type orthogonal matrices A_k, the diagonals of the weight
+matrices T_(k,alpha), their product blocks T_(k,alpha) A_k^T, and the key-lemma
 assembly that turns a diagonal operator with a suitable spectrum plan into a
 model mapping an orthonormal basis into a conditional basis. Also provides
 the rank-1 conjugation witnesses showing that non-invertible operators can
@@ -35,20 +35,16 @@ def haar_matrix(k):
     """The 2^k x 2^k Haar-type orthogonal matrix A_k.
 
     Column 1 is constant 2^(-k/2); column j = 2^s + v takes +/- 2^((s-k)/2)
-    on the two halves of its dyadic support and 0 elsewhere.
+    on the two halves of its dyadic support and 0 elsewhere. So row i meets
+    one level-s column, 2^s + i // 2^(k-s) 0-based, and A_k is filled per level.
     """
     _check_level(k)
-    n = 2 ** k
-    a = np.zeros((n, n))
+    rows = np.arange(2 ** k)
+    a = np.zeros((rows.size, rows.size))
     a[:, 0] = 2.0 ** (-k / 2.0)
     for s in range(k):
-        for v in range(1, 2 ** s + 1):
-            j = 2 ** s + v  # 1-based column
-            lo = (v - 1) * 2 ** (k - s)
-            mid = (2 * v - 1) * 2 ** (k - s - 1)
-            hi = v * 2 ** (k - s)
-            a[lo:mid, j - 1] = 2.0 ** ((s - k) / 2.0)
-            a[mid:hi, j - 1] = -(2.0 ** ((s - k) / 2.0))
+        h = 2.0 ** ((s - k) / 2.0)
+        a[rows, 2 ** s + (rows >> (k - s))] = np.where((rows >> (k - s - 1)) & 1, -h, h)
     return a
 
 
@@ -67,18 +63,18 @@ def weight_exponents(k):
     return exps
 
 
-def weight_matrix(k, alpha):
-    """Diagonal 2^k x 2^k weight matrix with entries alpha^j in printed order."""
+def weight_vector(k, alpha):
+    """Diagonal of T_(k,alpha): alpha^j in printed order, by Python's float power."""
     _check_level(k)
     _check_alpha(alpha)
-    return np.diag([alpha ** j for j in weight_exponents(k)])
+    return np.array([alpha ** j for j in weight_exponents(k)])
 
 
 def olevskii_block(k, alpha):
     """The basis pair (T_(k,alpha) A_k^T, A_k T_(k,alpha)^{-1})."""
-    _check_alpha(alpha)
+    _check_alpha(alpha)  # before weight_vector's level check: a bad alpha is named first
+    w = weight_vector(k, alpha)
     a = haar_matrix(k)
-    w = np.array([alpha ** j for j in weight_exponents(k)])
     f = a.T * w[:, None]  # diag(w) @ A^T
     a /= w  # G* = A @ diag(1/w), formed in place
     return BasisPair(f=f, gstar=a)
@@ -252,8 +248,7 @@ def keylemma_assemble(spectrum, plan):
     f, gstar, x = np.diag(lam), np.diag(1.0 / lam), np.ones(lam.size)
     for k, offset in enumerate(offsets, start=1):
         sl = slice(offset, offset + 2 ** k)
-        exps = np.array(weight_exponents(k), dtype=float)
-        x[sl] = plan.c_bounds[k - 1][0] * lam[sl] / plan.alpha ** exps
+        x[sl] = plan.c_bounds[k - 1][0] * lam[sl] / weight_vector(k, plan.alpha)
         block = olevskii_block(k, plan.alpha)
         f[sl, sl], gstar[sl, sl] = block.f, block.gstar
 

@@ -55,8 +55,9 @@ class BasisPair:
         for a, b in ((f, g), (g, f)):
             r = a @ b  # one n x n product at a time, shifted by -I in place
             r.flat[:: r.shape[0] + 1] -= 1.0
-            if np.max(np.abs(r, out=r)) >= PAIR_TOL:
-                raise ValueError("F*Gstar and Gstar*F must equal the identity within 1e-9")
+            if (dev := np.max(np.abs(r, out=r))) >= PAIR_TOL:
+                raise ValueError("F*Gstar and Gstar*F must equal the identity within 1e-9; "
+                                 f"the largest deviation is {dev:.3g}")
             del r
 
     @property

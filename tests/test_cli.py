@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -25,9 +26,9 @@ from schaudermat import (
     summing_counterexample,
     transform_right_diagonal,
     unconditional_constant,
-    weight_matrix,
+    weight_vector,
 )
-from schaudermat.cli import build_parser, main
+from schaudermat.cli import _budget, build_parser, main
 
 
 def run(capsys, *argv):
@@ -148,6 +149,12 @@ def test_negative_samples_exit_code(tmp_path, capsys):
     assert "samples must be >= 0, got -1" in captured.err
 
 
+def test_budget_flags_default_to_search_budget():
+    parser = build_parser()
+    for argv in (["constants", "--matrix", "m.mtx"], ["demo-harmonic", "--levels", "2"]):
+        assert _budget(parser.parse_args(argv)) == SearchBudget()
+
+
 def test_weight_level_above_limit_writes_nothing(tmp_path, capsys):
     out = tmp_path / "w.mtx"
     code = main(["weight", "--k", "13", "--alpha", "0.8", "--out", str(out)])
@@ -165,8 +172,16 @@ def test_block_alpha_outside_range_writes_nothing(tmp_path, capsys):
     assert not f.exists() and not g.exists()
 
 
+def rotated_diagonal(n, kappa, seed):
+    """Q1 diag(geomspace(1, 1/kappa)) Q2 for seeded random orthogonal Q1 and Q2."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return (q1 * np.geomspace(1.0, 1.0 / kappa, n)) @ q2
+
+
 # Input files that cases of test_sizes_above_limit_exit_code read, by the name in their argv.
 REFUSAL_INPUTS = {
+    "kappa1e9.mtx": rotated_diagonal(24, 1e9, 1),
     "h2.mtx": haar_matrix(2),
     "wide.mtx": "2 3\n1 0 0\n0 1 0\n",
     "three.mtx": "2 2 2\n1 0\n0 1\n",
@@ -220,13 +235,16 @@ REFUSAL_INPUTS = {
      "ratio must lie in (0, 1)"),
     (["profile", "--spectrum", "empty.txt", "--delta", "2", "--ts", "1"],
      "spectrum must be a nonempty 1-d sequence"),
+    # invert accepts kappa up to 1e12, but the pair check refuses from about kappa = 1e7
+    (["constants", "--matrix", "kappa1e9.mtx"],
+     "F*Gstar and Gstar*F must equal the identity within 1e-9; the largest deviation is "),
 ], ids=["counterexample", "profile", "cut-length", "cut-inf", "cut-nan", "profile-t-nan",
         "profile-t-inf", "profile-delta-inf", "select-delta-inf", "demo-delta-nan",
         "lp-lambda-nan", "lp-lambda-inf", "lp-delta-nan", "lp-equal-lambdas-delta",
         "transform-diag-overflow", "transform-diag-nan", "transform-diag-inf",
         "transform-diag-length", "riesz-sections-order", "condition-not-square",
         "header-three-fields", "header-not-integer", "header-zero-rows", "no-header",
-        "geometric-ratio", "empty-spectrum-file"])
+        "geometric-ratio", "empty-spectrum-file", "constants-pair-tolerance"])
 def test_sizes_above_limit_exit_code(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     inputs = sorted(name for name in REFUSAL_INPUTS if name in argv)
@@ -594,7 +612,7 @@ def transformed(mat):
 @pytest.mark.parametrize("argv, outs, expected", [
     (["haar", "--k", "3"], ["--out"], lambda mat: [haar_matrix(3)]),
     (["weight", "--k", "3", "--alpha", "0.8"], ["--out"],
-     lambda mat: [weight_matrix(3, 0.8)]),
+     lambda mat: [np.diag(weight_vector(3, 0.8))]),
     (["block", "--k", "3", "--alpha", "0.8"], ["--out-f", "--out-gstar"],
      lambda mat: [olevskii_block(3, 0.8).f, olevskii_block(3, 0.8).gstar]),
     (["counterexample", "--n", "5"], ["--out-f", "--out-gstar"],
@@ -613,6 +631,31 @@ def test_written_files_match_per_value_reference(tmp_path, argv, outs, expected)
     assert main(argv) == 0
     for path, m in zip(paths, expected(mat)):
         assert path.read_text(encoding="ascii") == reference_text(m)
+
+
+# sha256 of generator outputs: they use no LAPACK, so their bytes do not depend on the BLAS
+# build, and a refactor of the generators must leave them as they are.
+@pytest.mark.parametrize("argv, digests", [
+    (["haar", "--k", "10", "--out", "a.mtx"],
+     {"a.mtx": "87302c38de55f48ce925330f6cd4ceab4aa40dab14bf7b5a182023685aaf4be5"}),
+    (["weight", "--k", "9", "--alpha", "0.8", "--out", "t.mtx"],
+     {"t.mtx": "f77c0de98ed0eafbaa27f44f8d0eccdb976a10d6b399c8d1994dc99d5e7f8f18"}),
+    (["block", "--k", "10", "--alpha", "0.8", "--out-f", "f.mtx", "--out-gstar", "g.mtx"],
+     {"f.mtx": "6d3570acf03ca2d8462b1fc91c0c30821cae2f47896910def6d2734d3e071461",
+      "g.mtx": "6ef50e5fedb5fcf481d352ad74d33e100dc5cf4cfdb666fa771b3d226f10b1ee",
+      "stdout": "6548627a92815a21470f3059ff7678569886018a18e3e84f3915fe08c60e349b"}),
+    (["counterexample", "--n", "64", "--out-f", "f.mtx", "--out-gstar", "g.mtx"],
+     {"f.mtx": "726167244e3043f95c68e5e7a2d2ffb82f8d857339526f9c9a1316c2b7091186",
+      "g.mtx": "95f333b8b05dc4cb31f5bca22d1b8252c781dc03e71ec468e2705e4955997326"}),
+], ids=["haar", "weight", "block", "counterexample"])
+def test_generator_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch, argv, digests):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    outputs = {name: captured.out.encode() if name == "stdout" else Path(name).read_bytes()
+               for name in digests}
+    assert {name: hashlib.sha256(b).hexdigest() for name, b in outputs.items()} == digests
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

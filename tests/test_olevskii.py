@@ -19,7 +19,7 @@ from schaudermat import (
     select_subsets,
     unconditional_constant,
     validate_plan,
-    weight_matrix,
+    weight_vector,
 )
 from schaudermat.olevskii import weight_exponents
 
@@ -45,7 +45,29 @@ def dense_factors(model):
     return np.eye(len(order))[order], u, model.diagonal_section[:, None] * u[order]
 
 
+def haar_reference(k):
+    """A_k column by column: each level-s column is +h then -h on its dyadic support."""
+    n = 2 ** k
+    a = np.zeros((n, n))
+    a[:, 0] = 2.0 ** (-k / 2.0)
+    for s in range(k):
+        for v in range(1, 2 ** s + 1):
+            j = 2 ** s + v  # 1-based column
+            lo = (v - 1) * 2 ** (k - s)
+            mid = (2 * v - 1) * 2 ** (k - s - 1)
+            hi = v * 2 ** (k - s)
+            a[lo:mid, j - 1] = 2.0 ** ((s - k) / 2.0)
+            a[mid:hi, j - 1] = -(2.0 ** ((s - k) / 2.0))
+    return a
+
+
 class TestHaarMatrix:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_per_column_reference(self, k):
+        a, ref = haar_matrix(k), haar_reference(k)
+        assert np.array_equal(a, ref)
+        assert np.array_equal(np.signbit(a), np.signbit(ref))
+
     def test_k1(self):
         expected = INV_SQRT2 * np.array([[1.0, 1.0], [1.0, -1.0]])
         np.testing.assert_allclose(haar_matrix(1), expected, atol=1e-15)
@@ -75,23 +97,20 @@ class TestHaarMatrix:
 
 class TestWeightMatrix:
     def test_k1(self):
-        np.testing.assert_allclose(weight_matrix(1, 0.9), np.diag([0.9, 0.9]))
+        np.testing.assert_allclose(weight_vector(1, 0.9), [0.9, 0.9])
 
     def test_k2(self):
-        np.testing.assert_allclose(
-            weight_matrix(2, 0.8), np.diag([0.64, 0.64, 0.8, 0.8])
-        )
+        np.testing.assert_allclose(weight_vector(2, 0.8), [0.64, 0.64, 0.8, 0.8])
 
     def test_k3(self):
         np.testing.assert_allclose(
-            weight_matrix(3, 0.8),
-            np.diag([0.512, 0.512, 0.64, 0.64, 0.8, 0.8, 0.8, 0.8]),
+            weight_vector(3, 0.8), [0.512, 0.512, 0.64, 0.64, 0.8, 0.8, 0.8, 0.8]
         )
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_multiset_of_entries(self, k):
         alpha = 0.75
-        diag = sorted(np.diagonal(weight_matrix(k, alpha)))
+        diag = sorted(weight_vector(k, alpha))
         expected = sorted(
             [alpha ** k] * 2
             + [alpha ** j for j in range(1, k) for _ in range(2 ** (k - j))]
@@ -101,9 +120,9 @@ class TestWeightMatrix:
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
-            weight_matrix(2, 0.5)
+            weight_vector(2, 0.5)
         with pytest.raises(ValueError):
-            weight_matrix(2, 1.0)
+            weight_vector(2, 1.0)
 
 
 class TestOlevskiiBlock:
@@ -206,7 +225,7 @@ class TestKeylemmaAssemble:
         tilde = r.T @ np.diag(model.diagonal_section) @ r
         c1 = plan.c_bounds[0][0]
         np.testing.assert_allclose(
-            tilde, np.diag(model.scaling) @ (weight_matrix(1, 0.8) / c1), atol=1e-12
+            tilde, np.diag(model.scaling) @ (np.diag(weight_vector(1, 0.8)) / c1), atol=1e-12
         )
         # images of the ONB are T applied to orthonormal columns, so their
         # norms stay within the spectral window
@@ -222,9 +241,20 @@ class TestKeylemmaAssemble:
         blocks = []
         for k in range(1, plan.levels + 1):
             c_k = plan.c_bounds[k - 1][0]
-            blocks.append(weight_matrix(k, plan.alpha) / c_k)
+            blocks.append(np.diag(weight_vector(k, plan.alpha)) / c_k)
         np.testing.assert_allclose(tilde, np.diag(model.scaling) @ block_diagonal(blocks),
                                    atol=1e-12)
+
+    def test_scaling_takes_the_block_weights(self):
+        # X_k = c_k lambda / alpha^w(p) divides by the very weights of T_(k,alpha).
+        spectrum = harmonic_spectrum(100000)
+        plan = select_subsets(spectrum, 0.8, 2.0, 6).plan
+        model = keylemma_assemble(spectrum, plan)
+        expected = np.concatenate([
+            c_k * spectrum.values[np.array(subset) - 1] / weight_vector(k, plan.alpha)
+            for k, (subset, (c_k, _)) in enumerate(zip(plan.subsets, plan.c_bounds), start=1)])
+        assert model.level_sizes == tuple(2 ** k for k in range(1, 7))
+        np.testing.assert_array_equal(model.scaling, expected)
 
     def test_model_invariants(self):
         spectrum = harmonic_spectrum(10000)
@@ -383,5 +413,4 @@ class TestProjectionBlowup:
 def test_weight_exponents_align_with_weight_matrix():
     for k in range(1, 6):
         exps = weight_exponents(k)
-        diag = np.diagonal(weight_matrix(k, 0.8))
-        np.testing.assert_allclose(diag, [0.8 ** j for j in exps])
+        np.testing.assert_array_equal(weight_vector(k, 0.8), [0.8 ** j for j in exps])
