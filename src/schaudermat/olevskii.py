@@ -138,28 +138,29 @@ class PlanValidation:
     violations: tuple
 
 
-# Default cap on sup_k d_k/c_k (condition (a) at finite scale).
-RATIO_BOUND_DEFAULT = 100.0
+# Cap on sup_k d_k/c_k (condition (a)), and the relative slack of the (a) and (b) bounds.
+RATIO_BOUND = 100.0
+PLAN_RTOL = 1e-9
 
 
-def validate_plan(spectrum, plan, ratio_bound=RATIO_BOUND_DEFAULT):
+def validate_plan(spectrum, plan):
     """Check the three key-lemma conditions on a finite spectrum sample.
 
-    (a) max_k d_k/c_k <= ratio_bound; (b) c_k <= alpha^w(p)/lambda <= d_k at
+    (a) max_k d_k/c_k <= RATIO_BOUND; (b) c_k <= alpha^w(p)/lambda <= d_k at
     every block position p, where w is the position-to-exponent map of
     weight_exponents; (c) subsets pairwise disjoint, each of size 2^k, with
-    max index of level k below min index of level k' for k < k'.
-    Violations are reported as data, not raised.
+    max index of level k below min index of level k' for k < k'; (a) and (b)
+    within the relative slack PLAN_RTOL. select_subsets and keylemma_assemble
+    check plans by this one rule. Violations are reported as data, not raised.
     """
     values = spectrum.values
     bad = []
     _check_alpha(plan.alpha)
 
     ratios = [d / c for c, d in plan.c_bounds if 0 < c <= d]
-    if ratios and max(ratios) > ratio_bound:
-        bad.append(
-            f"condition (a): max d_k/c_k = {max(ratios):.6g} exceeds bound {ratio_bound:.6g}"
-        )
+    if ratios and max(ratios) > RATIO_BOUND * (1 + PLAN_RTOL):
+        bad.append(f"condition (a): max d_k/c_k = {max(ratios):.6g} exceeds bound "
+                   f"{RATIO_BOUND:.6g}")
 
     seen = set()
     prev_max = 0
@@ -188,7 +189,7 @@ def validate_plan(spectrum, plan, ratio_bound=RATIO_BOUND_DEFAULT):
         exps = weight_exponents(k)
         for p, (idx, w) in enumerate(zip(subset, exps), start=1):
             ratio = plan.alpha ** w / values[idx - 1]
-            if not (c_k * (1 - 1e-9) <= ratio <= d_k * (1 + 1e-9)):
+            if not c_k * (1 - PLAN_RTOL) <= ratio <= d_k * (1 + PLAN_RTOL):
                 bad.append(
                     f"condition (b): level {k} position {p} (index {idx}, exponent {w}): "
                     f"alpha^w/lambda = {ratio:.9g} outside [{c_k:.9g}, {d_k:.9g}]"

@@ -255,8 +255,8 @@ def unconditional_constant(pair, budget=SearchBudget()):
     LowerBoundWitness) the mask of _sign_witness, if its norm is within GREEDY_RTOL of
     the bound, after one evaluation. Else no subset attains the bound (the equality
     case of Wielandt's inequality), and a seeded search compares the kernel norms of
-    all prefixes, budget.samples random subsets and greedy single-index flips, until no
-    flip gains more than GREEDY_RTOL. The value is the witness's norm recomputed by SVD.
+    that mask, all prefixes, budget.samples random subsets and greedy single-index flips,
+    until no flip gains more than GREEDY_RTOL. The value is the witness's SVD norm.
     """
     _check_range(pair)
     n = pair.size
@@ -274,8 +274,9 @@ def unconditional_constant(pair, budget=SearchBudget()):
     rng = np.random.default_rng(budget.seed)
     sampled = (rng.integers(0, 2, size=(min(_BATCH, budget.samples - start), n)).astype(bool)
                for start in range(0, budget.samples, _BATCH))
-    best_value, best_mask = _best_mask(f, gstar, itertools.chain(_prefix_batches(n), sampled))
-    evaluations = n + budget.samples  # and n per greedy round below
+    masks = itertools.chain([sign_mask[None]], _prefix_batches(n), sampled)
+    best_value, best_mask = _best_mask(f, gstar, masks)
+    evaluations = 1 + n + budget.samples  # and n per greedy round below
 
     while True:
         flips = best_mask ^ np.eye(n, dtype=bool)  # row i flips index i+1

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientCardinalityError
-from .olevskii import (OlevskiiPlan, _check_alpha, haar_matrix, keylemma_assemble,
-                       validate_plan, weight_exponents)
+from .olevskii import (RATIO_BOUND, OlevskiiPlan, _check_alpha, haar_matrix,
+                       keylemma_assemble, validate_plan, weight_exponents)
 from .schauder import (
     BasisPair,
     SearchBudget,
@@ -122,10 +122,11 @@ def select_subsets(spectrum, alpha, delta, levels):
     position p (see weight_exponents) then takes the largest value of its
     window not yet taken at this level. Bounds are c_k = 1/t0, d_k = delta/t0.
     A short window skips, by bisection, every later t0 whose window must be short.
+    As d_k/c_k = delta, a delta outside (1, RATIO_BOUND] is refused before the scan.
     """
     _check_alpha(alpha)
-    if not 1 < delta < math.inf:  # NaN fails too
-        raise ValueError(f"delta must be finite and exceed 1, got {delta}")
+    if not 1 < delta <= RATIO_BOUND:  # NaN fails too
+        raise ValueError(f"delta must lie in (1, {RATIO_BOUND:g}], got {delta}")
     v = spectrum.values
     subsets, t0s, cards = [], [], []
 
@@ -169,7 +170,7 @@ def select_subsets(spectrum, alpha, delta, levels):
 
     plan = OlevskiiPlan(levels=levels, alpha=alpha, subsets=subsets,
                         c_bounds=[(1.0 / t0, delta / t0) for t0 in t0s])
-    report = validate_plan(spectrum, plan, ratio_bound=delta + 1e-9)
+    report = validate_plan(spectrum, plan)
     if not report.ok:
         raise AssertionError("selected plan failed validation:\n" + "\n".join(report.violations))
     return SelectionResult(
@@ -259,8 +260,8 @@ def harmonic_demo(levels, alpha, delta, spectrum_length=10000, budget=SearchBudg
 
     Selects subsets from lambda_n = 1/n and assembles the conditional model.
     The constants of level l are those of the model's leading m x m section
-    pair, m = 2^(l+1) - 2 (levels 1..l). The Riesz diagnostic runs on the raw
-    harmonic diagonal, passed as a vector.
+    pair, m the sum of the model's level sizes 1..l. The Riesz diagnostic runs
+    on the raw harmonic diagonal, passed as a vector.
     """
     spectrum = harmonic_spectrum(spectrum_length)
     selection = select_subsets(spectrum, alpha, delta, levels)
@@ -271,21 +272,15 @@ def harmonic_demo(levels, alpha, delta, spectrum_length=10000, budget=SearchBudg
                  for a in map(haar_matrix, range(1, levels + 1)))
 
     basis_by_level, uncond_by_level = [], []
-    for ell in range(1, levels + 1):
-        m = 2 ** (ell + 1) - 2
+    for m in np.cumsum(model.level_sizes):
         pair = BasisPair(f=model.basis_matrix[:m, :m], gstar=model.inverse_matrix[:m, :m])
         basis_by_level.append(basis_constant(pair))
         uncond_by_level.append(unconditional_constant(pair, budget=budget))
 
     qmin, qmax = quasinormality_bounds(model.basis_matrix)
-    riesz = riesz_diagnostic(1.0 / np.arange(1, RIESZ_SECTIONS[-1] + 1), RIESZ_SECTIONS)
+    riesz = riesz_diagnostic(harmonic_spectrum(RIESZ_SECTIONS[-1]).values, RIESZ_SECTIONS)
 
-    return HarmonicDemoReport(
-        selection=selection,
-        unitary_defect=defect,
-        basis_by_level=tuple(basis_by_level),
-        unconditional_by_level=tuple(uncond_by_level),
-        quasinorm_min=qmin,
-        quasinorm_max=qmax,
-        riesz=riesz,
-    )
+    return HarmonicDemoReport(selection=selection, unitary_defect=defect,
+                              basis_by_level=tuple(basis_by_level),
+                              unconditional_by_level=tuple(uncond_by_level),
+                              quasinorm_min=qmin, quasinorm_max=qmax, riesz=riesz)

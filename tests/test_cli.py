@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -10,11 +11,13 @@ import numpy as np
 import pytest
 
 from schaudermat import (
+    OlevskiiPlan,
     SearchBudget,
     basis_constant,
     biorthogonal_inverse,
     cardinality_profile,
     haar_matrix,
+    keylemma_assemble,
     load_matrix,
     olevskii_block,
     parse_spectrum,
@@ -208,8 +211,17 @@ REFUSAL_INPUTS = {
     (["profile", "--spectrum", "harmonic:100", "--delta", "inf", "--ts", "0.1"],
      "delta must be finite and exceed 1, got inf"),
     (["select", "--spectrum", "harmonic:1000", "--alpha", "0.8", "--delta", "inf",
-      "--levels", "2"], "delta must be finite and exceed 1, got inf"),
-    (["demo-harmonic", "--levels", "2", "--delta", "nan"], "delta must be finite and exceed 1"),
+      "--levels", "2"], "delta must lie in (1, 100], got inf"),
+    (["demo-harmonic", "--levels", "2", "--delta", "nan"], "delta must lie in (1, 100], got nan"),
+    # d_k/c_k = delta, and validate_plan caps it at RATIO_BOUND = 100
+    (["select", "--spectrum", "harmonic:10000", "--alpha", "0.8", "--delta", "100.5",
+      "--levels", "2", "--out", "sel.json"], "delta must lie in (1, 100], got 100.5"),
+    (["select", "--spectrum", "harmonic:10000", "--alpha", "0.8", "--delta", "200",
+      "--levels", "2", "--out", "sel.json"], "delta must lie in (1, 100], got 200.0"),
+    (["demo-harmonic", "--levels", "2", "--delta", "100.5", "--out", "demo.json"],
+     "delta must lie in (1, 100], got 100.5"),
+    (["demo-harmonic", "--levels", "2", "--delta", "200", "--out", "demo.json"],
+     "delta must lie in (1, 100], got 200.0"),
     (["lp-witness", "--lambda1", "nan", "--lambda2", "1"], "need 0 < lambda1 <= lambda2 < inf"),
     (["lp-witness", "--lambda1", "1", "--lambda2", "inf"], "need 0 < lambda1 <= lambda2 < inf"),
     (["lp-witness", "--lambda1", "0.1", "--lambda2", "1", "--delta", "nan"],
@@ -240,6 +252,7 @@ REFUSAL_INPUTS = {
      "F*Gstar and Gstar*F must equal the identity within 1e-9; the largest deviation is "),
 ], ids=["counterexample", "profile", "cut-length", "cut-inf", "cut-nan", "profile-t-nan",
         "profile-t-inf", "profile-delta-inf", "select-delta-inf", "demo-delta-nan",
+        "select-delta-100.5", "select-delta-200", "demo-delta-100.5", "demo-delta-200",
         "lp-lambda-nan", "lp-lambda-inf", "lp-delta-nan", "lp-equal-lambdas-delta",
         "transform-diag-overflow", "transform-diag-nan", "transform-diag-inf",
         "transform-diag-length", "riesz-sections-order", "condition-not-square",
@@ -426,6 +439,36 @@ def test_select_and_validate_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("delta", ["1.5", "2", "10", "100"])
+@pytest.mark.parametrize("alpha", ["0.75", "0.8", "0.9"])
+def test_selected_plans_pass_validate_plan(tmp_path, capsys, alpha, delta):
+    # select and validate-plan share one plan rule, so every plan that select
+    # writes passes; keylemma_assemble refuses plans by that rule alone and
+    # builds the model of every one small enough to assemble here (levels <= 9)
+    spectrum, sel, plan_file = "harmonic:100000", tmp_path / "sel.json", tmp_path / "plan.json"
+    for levels in itertools.count(1):
+        code, _ = run(capsys, "select", "--spectrum", spectrum, "--alpha", alpha, "--delta",
+                      delta, "--levels", str(levels), "--out", str(sel))
+        if code == 2:  # the spectrum holds no more levels
+            break
+        assert code == 0
+        plan = json.loads(sel.read_text())["plan"]
+        plan_file.write_text(json.dumps(plan))
+        code, out = run(capsys, "validate-plan", "--spectrum", spectrum, "--plan", str(plan_file))
+        assert (code, json.loads(out)) == (0, {"ok": True, "violations": []})
+        if levels <= 9:
+            model = keylemma_assemble(parse_spectrum(spectrum), OlevskiiPlan.from_json(plan))
+            assert model.level_sizes == tuple(2 ** k for k in range(1, levels + 1))
+    assert levels > 7
+
+
+def test_profile_admits_a_window_ratio_above_the_plan_bound(capsys):
+    # a profile is not a plan: any finite delta > 1 is admitted
+    code, out = run(capsys, "profile", "--spectrum", "harmonic:1000", "--delta", "200",
+                    "--ts", "0.1")
+    assert (code, json.loads(out)["counts"]) == (0, [991])
 
 
 
@@ -659,6 +702,21 @@ def test_generator_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch, argv,
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_readme_cli_block_runs(tmp_path):
+    """The README's CLI example, as written, with schaudermat resolved to the module."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    script = ('set -e\nschaudermat() { "$PYTHON" -m schaudermat.cli "$@"; }\n'
+              'python3() { "$PYTHON" "$@"; }\n' + block)
+    env = dict(os.environ, PYTHON=sys.executable, PYTHONPATH=str(SRC))
+    proc = subprocess.run(["sh", "-c", script], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert '"ok": true' in proc.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a2.mtx", "f.mtx", "g.mtx", "plan.json", "sel.json"]
 
 
 def test_entry_point_exit_codes(tmp_path):

@@ -202,13 +202,22 @@ class TestValidatePlan:
         assert any("condition (c)" in v for v in report.violations)
 
     def test_ratio_bound_violation(self):
+        # d/c = 150 > RATIO_BOUND, while alpha/lambda = 0.8 and 0.889 meet condition (b)
         spectrum = SpectrumSequence(np.array([1.0, 0.9]))
         plan = OlevskiiPlan(
-            levels=1, alpha=0.8, subsets=[(1, 2)], c_bounds=[(0.001, 1.0)]
+            levels=1, alpha=0.8, subsets=[(1, 2)], c_bounds=[(0.01, 1.5)]
         )
-        report = validate_plan(spectrum, plan, ratio_bound=10.0)
+        report = validate_plan(spectrum, plan)
         assert not report.ok
-        assert any("condition (a)" in v for v in report.violations)
+        assert report.violations == ("condition (a): max d_k/c_k = 150 exceeds bound 100",)
+
+    def test_ratio_bound_slack(self):
+        # condition (a) admits d/c up to RATIO_BOUND (1 + PLAN_RTOL), the slack of (b)
+        spectrum = SpectrumSequence(np.array([1.0, 0.9]))
+        for ratio, ok in [(100.0, True), (100.0 * (1 + 5e-10), True), (100.0 * (1 + 2e-9), False)]:
+            plan = OlevskiiPlan(levels=1, alpha=0.8, subsets=[(1, 2)],
+                                c_bounds=[(0.01, 0.01 * ratio)])
+            assert validate_plan(spectrum, plan).ok is ok
 
 
 class TestKeylemmaAssemble:

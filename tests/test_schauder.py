@@ -806,12 +806,13 @@ def with_dual_block(alpha):
 def test_greedy_stops_on_rounding_only_gains():
     # Greedy ends on its own here, and many flips tie in exact arithmetic; a
     # flip that wins by a few ulps must not buy another round of n norms
-    # (70 prefixes + 100 samples + two rounds of 70; 450 without the margin).
+    # (the sign mask + 70 prefixes + 100 samples + two rounds of 70; 451
+    # without the margin).
     pair = with_dual_block(0.8)
     est = unconditional_constant(pair, SearchBudget(samples=100, seed=0))
     assert est.mode == "LowerBoundWitness"
     assert est.value * (1 + GREEDY_RTOL) < _sign_witness(pair.f, pair.gstar)[0]
-    assert est.evaluations == 310
+    assert est.evaluations == 311
     assert est.value == pytest.approx(1.425503125, rel=1e-12)
 
 
@@ -869,20 +870,35 @@ class TestSignWitnessOrFullSearch:
         assert est.evaluations == 1
 
     @pytest.mark.parametrize("pair, seed, rounds, witness", [
-        (random_pair(np.random.default_rng(54), 24, kappa=100.0), 54, 8,
+        (random_pair(np.random.default_rng(54), 24, kappa=100.0), 54, 3,
          (1, 2, 3, 4, 6, 13, 17, 19, 20, 21)),
         (with_dual_block(0.83), 0, 1,
          (5, 7, 11, 12, 13, 17, 25, 29, 33, 37, 38, 39, 42, 44, 45, 46, 47, 50, 52, 54, 55, 58,
           60, 61, 66, 67, 69)),
     ], ids=["random", "dual-block"])
     def test_unreached_bound_keeps_the_full_search(self, pair, seed, rounds, witness):
-        # the evaluations and witness of the search without the stop: n
-        # prefixes, 3 000 samples in two batches and the greedy rounds; the
-        # dual-block pair ends 0.56 % below its bound
+        # the evaluations and witness of the search without the stop: the
+        # sign mask, n prefixes, 3 000 samples in two batches and the greedy
+        # rounds; the dual-block pair ends 0.56 % below its bound
         est = unconditional_constant(pair, SearchBudget(samples=3000, seed=seed))
         assert est.value * (1 + GREEDY_RTOL) < _sign_witness(pair.f, pair.gstar)[0]
-        assert est.evaluations == pair.size + 3000 + rounds * pair.size
+        assert est.evaluations == 1 + pair.size + 3000 + rounds * pair.size
         assert est.witness == witness
+
+    def test_search_starts_from_the_sign_mask(self):
+        # The sign mask misses the bound 14.75 on this kappa = 30 pair, but
+        # no prefix or sample, nor the greedy walk from the best of them,
+        # reaches its norm 11.78: without it the search ends at 11.647.
+        rng = np.random.default_rng(103)
+        q1, q2 = (q * np.sign(np.diag(r)) for q, r in
+                  (np.linalg.qr(rng.standard_normal((64, 64))) for _ in range(2)))
+        pair = biorthogonal_inverse(q1 @ np.diag(np.geomspace(1, 1 / 30, 64)) @ q2)
+        bound, mask = _sign_witness(pair.f, pair.gstar)
+        sign_norm = np.linalg.norm((pair.f * mask) @ pair.gstar, 2)
+        assert sign_norm == pytest.approx(11.78210496997988, rel=1e-12)
+        est = unconditional_constant(pair, SearchBudget(samples=2000, seed=103))
+        assert sign_norm <= est.value < bound
+        assert est.evaluations == 1 + 64 + 2000 + 16 * 64
 
 
 class TestSignWitness:
