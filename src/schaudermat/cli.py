@@ -74,9 +74,7 @@ def _ints(text):
 
 
 def _budget(args):
-    return SearchBudget(
-        exact_cutoff=args.exact_cutoff, samples=args.samples, seed=args.seed
-    )
+    return SearchBudget(exact_cutoff=args.exact_cutoff, samples=args.samples, seed=args.seed)
 
 
 def _add_budget_flags(p):

@@ -25,6 +25,7 @@ from .schauder import (
     riesz_diagnostic,
     unconditional_constant,
 )
+from .textio import data_lines
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ def parse_spectrum(text):
             return harmonic_spectrum(int(fields[0]))
         return geometric_spectrum(float(fields[0]), int(fields[1]))
     with open(text, "r", encoding="ascii") as fh:
-        lines = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
-        vals = np.fromiter(map(float, itertools.islice(lines, MAX_SPECTRUM_LENGTH + 1)), float)
+        lines = itertools.islice(data_lines(fh), MAX_SPECTRUM_LENGTH + 1)
+        vals = np.fromiter((float(line) for _, line in lines), float)
     _capped(vals.size, "spectrum file values read")
     return SpectrumSequence(vals)
 

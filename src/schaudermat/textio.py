@@ -2,9 +2,12 @@
 
 First non-comment line: "rows cols" (base-10 integers). Then `rows` lines of
 `cols` whitespace-separated decimal floats, parsed by numpy's text reader.
-Blank lines and lines starting with '#' are skipped. Values are written with
-17 significant digits so a save/load round trip is bit-exact.
+Blank lines and lines starting with '#' are skipped, here and in spectrum
+files (data_lines). Values are written with 17 significant digits so a
+save/load round trip is bit-exact.
 """
+
+import itertools
 
 import numpy as np
 
@@ -32,30 +35,28 @@ def _parse(lines, cols):
     return a if a.shape == (len(lines), cols) else None
 
 
+def data_lines(fh):
+    """(line number, stripped text) of each line of *fh* that is neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(fh, start=1):
+        if (line := raw.strip()) and not line.startswith("#"):
+            yield lineno, line
+
+
 def load_matrix(path):
-    rows = cols = None
-    data = []
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if rows is None:
-                parts = line.split()
-                if len(parts) != 2:
-                    raise IOError(f"{path}: line {lineno}: expected 'rows cols'")
-                try:
-                    rows, cols = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise IOError(f"{path}: line {lineno}: bad dimensions {line!r}")
-                if rows <= 0 or cols <= 0:
-                    raise IOError(f"{path}: line {lineno}: dimensions must be positive")
-                continue
-            data.append((lineno, line))
-            if len(data) > rows:
-                break
-    if rows is None:
-        raise IOError(f"{path}: no header line found")
+        lines = data_lines(fh)
+        lineno, line = next(lines, (None, None))
+        if line is None:
+            raise IOError(f"{path}: no header line found")
+        if len(line.split()) != 2:
+            raise IOError(f"{path}: line {lineno}: expected 'rows cols'")
+        try:
+            rows, cols = map(int, line.split())
+        except ValueError:
+            raise IOError(f"{path}: line {lineno}: bad dimensions {line!r}")
+        if rows <= 0 or cols <= 0:
+            raise IOError(f"{path}: line {lineno}: dimensions must be positive")
+        data = list(itertools.islice(lines, rows + 1))
     if len(data) == rows and (a := _parse([line for _, line in data], cols)) is not None:
         return a
     # Only a malformed file is parsed again, line by line, to name its first bad line.

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from schaudermat import load_matrix, olevskii_block, save_matrix
+from schaudermat import load_matrix, olevskii_block, parse_spectrum, save_matrix
 from schaudermat.cli import main
 
 
@@ -145,6 +145,28 @@ def test_trailing_comment_rejected(tmp_path):
     path.write_text("2 2\n1 0 # note\n0 1\n")
     with pytest.raises(IOError, match="line 2: expected 2 values, got 4"):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("body, values", [
+    (b"\n2\n\n\n0.5\n0.25\n\n", [2.0, 0.5, 0.25]),
+    (b"\t2\r\n0.5\t\r\n  \t\r\n 0.25\r\n", [2.0, 0.5, 0.25]),
+    (b"  # values\n2\n\t# tab\n0.5\n   #\n0.25\n# end", [2.0, 0.5, 0.25]),
+    (b"2\n0.5 # half\n0.25\n", None),
+], ids=["blank", "tab-crlf", "indented-comments", "trailing-comment"])
+def test_matrix_and_spectrum_files_share_the_data_line_rule(tmp_path, body, values):
+    # The body as a one-column matrix under its header and as a spectrum file:
+    # both readers skip the same lines and refuse a comment after a value.
+    matrix, spectrum = tmp_path / "m.mtx", tmp_path / "s.txt"
+    matrix.write_bytes(b"# column\n3 1\n" + body)
+    spectrum.write_bytes(body)
+    if values is None:
+        with pytest.raises(IOError, match="line 4: expected 1 values, got 3"):
+            load_matrix(matrix)
+        with pytest.raises(ValueError, match="could not convert string to float: '0.5 # half'"):
+            parse_spectrum(str(spectrum))
+    else:
+        assert load_matrix(matrix)[:, 0].tolist() == values
+        assert parse_spectrum(str(spectrum)).values.tolist() == values
 
 
 def test_same_wrong_column_count_on_every_row(tmp_path):
