@@ -170,19 +170,30 @@ def _masked_norms(f, gstar, masks, known=None):
 
 
 def _best_mask(f, gstar, batches, floor=-np.inf):
-    """(kernel norm, mask) of the first largest norm above *floor* in an
-    iterable of mask stacks, or (floor, None) if no norm exceeds it.
+    """(kernel norm, mask) of the winner among the norms above *floor* in an iterable
+    of mask stacks, or (floor, None) if no norm exceeds it. Norms within GREEDY_RTOL of
+    the largest tie, and a tie goes to the fewest indices, then to the lexicographically
+    first index tuple, so that last-ulp rounding does not pick the witness.
 
-    Each batch is screened by the bound of _masked_norms against the best
-    norm so far, which leaves the first largest norm and its mask unchanged.
+    Each batch is screened by the bound of _masked_norms against the largest norm so
+    far, which keeps every norm within 1e-9 of it. Of the masks that tie with it, only
+    those that no mask beats in both norm and order can still win, and only they are kept.
     """
-    best_value, best_mask = floor, None
+    top, kept_norms, kept_masks = floor, np.empty(0), np.empty((0, f.shape[0]), bool)
     for masks in batches:
-        norms = _masked_norms(f, gstar, masks, known=best_value)
-        i = int(np.argmax(norms))
-        if norms[i] > best_value:
-            best_value, best_mask = float(norms[i]), masks[i]
-    return best_value, best_mask
+        norms = _masked_norms(f, gstar, masks, known=top)
+        top = max(top, float(norms.max()))
+        norms, masks = np.append(kept_norms, norms), np.vstack([kept_masks, masks])
+        near = (norms > floor) & (norms >= top / (1 + GREEDY_RTOL))
+        norms, masks = norms[near], masks[near]
+        # fewest indices first, then the mask that holds the first index where two differ
+        order = np.lexsort([*(masks.T[::-1] == 0), np.count_nonzero(masks, axis=1)])
+        norms, masks = norms[order], masks[order]
+        front = norms > np.maximum.accumulate(np.append(-np.inf, norms[:-1]))
+        kept_norms, kept_masks = norms[front], masks[front]
+    if not kept_norms.size:
+        return floor, None
+    return float(kept_norms[0]), kept_masks[0]
 
 
 def _sign_witness(f, gstar):
@@ -254,9 +265,11 @@ def unconditional_constant(pair, budget=SearchBudget()):
     Exhaustive (mode Exact) for N <= budget.exact_cutoff. Otherwise (mode
     LowerBoundWitness) the mask of _sign_witness, if its norm is within GREEDY_RTOL of
     the bound, after one evaluation. Else no subset attains the bound (the equality
-    case of Wielandt's inequality), and a seeded search compares the kernel norms of
-    that mask, all prefixes, budget.samples random subsets and greedy single-index flips,
-    until no flip gains more than GREEDY_RTOL. The value is the witness's SVD norm.
+    case of Wielandt's inequality), and a seeded search walks by greedy single-index
+    flips, until no flip gains more than GREEDY_RTOL, from the best of that mask, all
+    prefixes and budget.samples random subsets. When that start is the mask, a second
+    walk from the best prefix or sample may end higher, so both are taken and the larger
+    end is kept. The value is the witness's SVD norm.
     """
     _check_range(pair)
     n = pair.size
@@ -274,18 +287,22 @@ def unconditional_constant(pair, budget=SearchBudget()):
     rng = np.random.default_rng(budget.seed)
     sampled = (rng.integers(0, 2, size=(min(_BATCH, budget.samples - start), n)).astype(bool)
                for start in range(0, budget.samples, _BATCH))
-    masks = itertools.chain([sign_mask[None]], _prefix_batches(n), sampled)
-    best_value, best_mask = _best_mask(f, gstar, masks)
+    searched = _best_mask(f, gstar, itertools.chain(_prefix_batches(n), sampled))
+    start = _best_mask(f, gstar, [np.vstack([sign_mask, searched[1]])])
+    starts = [searched] if np.array_equal(start[1], searched[1]) else [start, searched]
     evaluations = 1 + n + budget.samples  # and n per greedy round below
 
-    while True:
-        flips = best_mask ^ np.eye(n, dtype=bool)  # row i flips index i+1
-        evaluations += n
-        value, mask = _best_mask(f, gstar, [flips], floor=best_value * (1 + GREEDY_RTOL))
-        if mask is None:
-            break
-        best_value, best_mask = value, mask
-
+    ends = []
+    for best_value, best_mask in starts:
+        while True:
+            flips = best_mask ^ np.eye(n, dtype=bool)  # row i flips index i+1
+            evaluations += n
+            value, mask = _best_mask(f, gstar, [flips], floor=best_value * (1 + GREEDY_RTOL))
+            if mask is None:
+                break
+            best_value, best_mask = value, mask
+        ends.append(best_mask)
+    _, best_mask = _best_mask(f, gstar, [np.vstack(ends)])
     return _estimate(f, gstar, best_mask, "LowerBoundWitness", evaluations)
 
 

@@ -63,10 +63,11 @@ def harmonic_spectrum(n):
 
 
 def geometric_spectrum(r, n):
-    """lambda_k = r^k for k = 1..n, 0 < r < 1."""
+    """lambda_k = r^k for k = 1..n, 0 < r < 1, by Python's float power."""
     if not 0 < r < 1:
         raise ValueError("ratio must lie in (0, 1)")
-    return SpectrumSequence(r ** np.arange(1, _capped(n, "spectrum length") + 1))
+    n = _capped(n, "spectrum length")
+    return SpectrumSequence(np.fromiter((r ** k for k in range(1, n + 1)), float, count=n))
 
 
 def parse_spectrum(text):

@@ -617,12 +617,15 @@ def seeded_sections(seed):
 
 
 class TestScreenedArgmax:
-    """_best_mask prunes by a bound but must return the argmax of _masked_norms."""
+    """_best_mask prunes by a bound but must return the mask that the tie rule picks from
+    the unscreened _masked_norms: among the norms within GREEDY_RTOL of the largest, the
+    fewest indices, then the lexicographically first index tuple."""
 
     @staticmethod
     def assert_same_argmax(pair, masks):
         norms = _masked_norms(pair.f, pair.gstar, masks)
-        i = int(np.argmax(norms))
+        near = np.flatnonzero(norms >= norms.max() / (1 + GREEDY_RTOL))
+        i = min(near, key=lambda j: (np.count_nonzero(masks[j]), tuple(np.flatnonzero(masks[j]))))
         for batches in ([masks], np.array_split(masks, min(3, len(masks)))):
             value, mask = _best_mask(pair.f, pair.gstar, batches)
             assert value == norms[i]
@@ -648,6 +651,14 @@ class TestScreenedArgmax:
         flips = np.repeat(masks[:1], pair.size, axis=0)
         flips[np.arange(pair.size), np.arange(pair.size)] = 1.0 - np.diag(flips)
         self.assert_same_argmax(pair, np.vstack([masks, flips, masks[::-1]]))
+
+    def test_last_ulp_tie_goes_to_the_shortest_prefix(self):
+        # Prefixes 7, 9, 11 and 13 of the demo's level-3 pair attain the same
+        # constant; rounding puts prefix 11 one ulp above the others.
+        pair = block_sum(3)
+        norms = _masked_norms(pair.f, pair.gstar, np.tril(np.ones((14, 14), dtype=bool)))
+        assert int(np.argmax(norms)) == 10
+        assert basis_constant(pair).witness == tuple(range(1, 8))
 
     def test_rotated_ill_conditioned_pair(self):
         rng = np.random.default_rng(44)
@@ -870,7 +881,7 @@ class TestSignWitnessOrFullSearch:
         assert est.evaluations == 1
 
     @pytest.mark.parametrize("pair, seed, rounds, witness", [
-        (random_pair(np.random.default_rng(54), 24, kappa=100.0), 54, 3,
+        (random_pair(np.random.default_rng(54), 24, kappa=100.0), 54, 3 + 8,
          (1, 2, 3, 4, 6, 13, 17, 19, 20, 21)),
         (with_dual_block(0.83), 0, 1,
          (5, 7, 11, 12, 13, 17, 25, 29, 33, 37, 38, 39, 42, 44, 45, 46, 47, 50, 52, 54, 55, 58,
@@ -879,7 +890,9 @@ class TestSignWitnessOrFullSearch:
     def test_unreached_bound_keeps_the_full_search(self, pair, seed, rounds, witness):
         # the evaluations and witness of the search without the stop: the
         # sign mask, n prefixes, 3 000 samples in two batches and the greedy
-        # rounds; the dual-block pair ends 0.56 % below its bound
+        # rounds; the random pair's sign mask is its best start, so a second
+        # walk of 8 rounds from the best prefix or sample follows the walk of
+        # 3 from it; the dual-block pair ends 0.56 % below its bound
         est = unconditional_constant(pair, SearchBudget(samples=3000, seed=seed))
         assert est.value * (1 + GREEDY_RTOL) < _sign_witness(pair.f, pair.gstar)[0]
         assert est.evaluations == 1 + pair.size + 3000 + rounds * pair.size
@@ -888,17 +901,33 @@ class TestSignWitnessOrFullSearch:
     def test_search_starts_from_the_sign_mask(self):
         # The sign mask misses the bound 14.75 on this kappa = 30 pair, but
         # no prefix or sample, nor the greedy walk from the best of them,
-        # reaches its norm 11.78: without it the search ends at 11.647.
-        rng = np.random.default_rng(103)
-        q1, q2 = (q * np.sign(np.diag(r)) for q, r in
-                  (np.linalg.qr(rng.standard_normal((64, 64))) for _ in range(2)))
-        pair = biorthogonal_inverse(q1 @ np.diag(np.geomspace(1, 1 / 30, 64)) @ q2)
+        # reaches its norm 11.78: without it the search ends at 11.647. The
+        # walk from the sign mask takes 16 rounds, the one from the best
+        # prefix or sample 22.
+        pair = geomspace_pair(64, 103)
         bound, mask = _sign_witness(pair.f, pair.gstar)
         sign_norm = np.linalg.norm((pair.f * mask) @ pair.gstar, 2)
         assert sign_norm == pytest.approx(11.78210496997988, rel=1e-12)
         est = unconditional_constant(pair, SearchBudget(samples=2000, seed=103))
         assert sign_norm <= est.value < bound
-        assert est.evaluations == 1 + 64 + 2000 + 16 * 64
+        assert est.value >= 12.456360676913006
+        assert est.evaluations == 1 + 64 + 2000 + (16 + 22) * 64
+
+    def test_search_keeps_the_walk_from_the_best_prefix_or_sample(self):
+        # The walk from the sign mask ends at 11.328 on this pair; the walk
+        # from the best prefix or sample, the only one before the sign mask
+        # joined the starts, ends at 11.892.
+        est = unconditional_constant(geomspace_pair(96, 102), SearchBudget(samples=2000, seed=102))
+        assert est.value >= 11.891794210950914
+
+
+def geomspace_pair(n, seed):
+    """Q1 diag(geomspace(1, 1/30, n)) Q2 paired with its inverse, for the sign-fixed QR
+    factors Q of standard normals drawn from default_rng(seed): a kappa = 30 pair."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (q * np.sign(np.diag(r)) for q, r in
+              (np.linalg.qr(rng.standard_normal((n, n))) for _ in range(2)))
+    return biorthogonal_inverse(q1 @ np.diag(np.geomspace(1, 1 / 30, n)) @ q2)
 
 
 class TestSignWitness:

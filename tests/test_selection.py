@@ -92,6 +92,13 @@ class TestSpectrumSequence:
         g = parse_spectrum("geometric:0.5:10")
         assert g.values[2] == pytest.approx(0.125)
 
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.99])
+    def test_geometric_values_are_python_float_powers(self, r):
+        # numpy's vectorised power rounds some of these differently, at r = 0.9
+        # for exponents 12, 23, 40, 51, 86, 100, 117 and 124 with numpy 2.4
+        values = geometric_spectrum(r, 200).values.tolist()
+        assert values == [r ** j for j in range(1, 201)]
+
     @pytest.mark.parametrize("text", ["harmonic:10:20", "geometric:0.5", "geometric:0.5:10:3"])
     def test_parse_refuses_wrong_field_count(self, text):
         with pytest.raises(ValueError, match="must read harmonic:N or geometric:r:N"):
