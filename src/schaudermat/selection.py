@@ -25,7 +25,7 @@ from .schauder import (
     riesz_diagnostic,
     unconditional_constant,
 )
-from .textio import data_lines
+from .textio import data_lines, read_rows
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,8 @@ class SpectrumSequence:
 
 # Most values a generated spectrum (80 MB of float64) or a refined grid may hold.
 MAX_SPECTRUM_LENGTH = 10 ** 7
+# Data lines of a spectrum file parsed per numpy call.
+_CHUNK = 2 ** 16
 
 
 def _capped(n, what):
@@ -71,7 +73,8 @@ def geometric_spectrum(r, n):
 
 
 def parse_spectrum(text):
-    """Parse "harmonic:N", "geometric:r:N" or load one value per line from a file."""
+    """Parse "harmonic:N", "geometric:r:N" or load one value per data line from a file,
+    each parsed as a matrix file's values are (textio.read_rows)."""
     kind, *fields = text.split(":")
     if text.startswith(("harmonic:", "geometric:")):
         if len(fields) != (1 if kind == "harmonic" else 2):
@@ -81,7 +84,9 @@ def parse_spectrum(text):
         return geometric_spectrum(float(fields[0]), int(fields[1]))
     with open(text, "r", encoding="ascii") as fh:
         lines = itertools.islice(data_lines(fh), MAX_SPECTRUM_LENGTH + 1)
-        vals = np.fromiter((float(line) for _, line in lines), float)
+        # a one-column matrix, read _CHUNK lines at a time so the text is never held whole
+        chunks = iter(lambda: list(itertools.islice(lines, _CHUNK)), [])
+        vals = np.concatenate([np.empty(0)] + [read_rows(text, c, 1)[:, 0] for c in chunks])
     _capped(vals.size, "spectrum file values read")
     return SpectrumSequence(vals)
 

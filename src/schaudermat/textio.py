@@ -1,10 +1,10 @@
 """Shared matrix text format.
 
 First non-comment line: "rows cols" (base-10 integers). Then `rows` lines of
-`cols` whitespace-separated decimal floats, parsed by numpy's text reader.
-Blank lines and lines starting with '#' are skipped, here and in spectrum
-files (data_lines). Values are written with 17 significant digits so a
-save/load round trip is bit-exact.
+`cols` whitespace-separated decimal floats, parsed by numpy's text reader
+(read_rows). Blank lines and lines starting with '#' are skipped (data_lines).
+Spectrum files, one value per line, are read by the same two rules. Values are
+written with 17 significant digits so a save/load round trip is bit-exact.
 """
 
 import itertools
@@ -42,6 +42,19 @@ def data_lines(fh):
             yield lineno, line
 
 
+def read_rows(path, data, cols):
+    """numpy's reading of the nonempty list *data* of (line number, text) pairs of file
+    *path* as a len(data) x cols matrix; a malformed list names its first bad line."""
+    if (a := _parse([line for _, line in data], cols)) is not None:
+        return a
+    # Only a malformed list is parsed again, line by line, to name its first bad line.
+    for lineno, line in data:
+        if _parse([line], cols) is None:
+            got = len(line.split())
+            problem = "unparsable value" if got == cols else f"expected {cols} values, got {got}"
+            raise IOError(f"{path}: line {lineno}: {problem}")
+
+
 def load_matrix(path):
     with open(path, "r", encoding="ascii") as fh:
         lines = data_lines(fh)
@@ -57,14 +70,9 @@ def load_matrix(path):
         if rows <= 0 or cols <= 0:
             raise IOError(f"{path}: line {lineno}: dimensions must be positive")
         data = list(itertools.islice(lines, rows + 1))
-    if len(data) == rows and (a := _parse([line for _, line in data], cols)) is not None:
-        return a
-    # Only a malformed file is parsed again, line by line, to name its first bad line.
-    for lineno, line in data[:rows]:
-        if _parse([line], cols) is None:
-            got = len(line.split())
-            problem = "unparsable value" if got == cols else f"expected {cols} values, got {got}"
-            raise IOError(f"{path}: line {lineno}: {problem}")
+    a = read_rows(path, data[:rows], cols) if data else None
     if len(data) > rows:
         raise IOError(f"{path}: line {data[rows][0]}: extra data row (declared {rows} rows)")
-    raise IOError(f"{path}: declared {rows} rows but found {len(data)}")
+    if len(data) < rows:
+        raise IOError(f"{path}: declared {rows} rows but found {len(data)}")
+    return a

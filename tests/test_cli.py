@@ -425,6 +425,17 @@ def test_profile_spectrum_file_with_indented_comment(tmp_path, capsys):
     assert json.loads(out)["counts"] == [11, 101]
 
 
+def test_spectrum_file_values_follow_the_matrix_value_rule(tmp_path, capsys):
+    # Python's float reads 1_0 as 10; numpy's reader, as for matrix files, refuses it.
+    path = tmp_path / "s.txt"
+    path.write_text("# values\n1_0\n\n1\n0.5\n")
+    code = main(["select", "--spectrum", str(path), "--alpha", "0.8", "--delta", "2",
+                 "--levels", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert f"{path}: line 2: unparsable value" in captured.err
+
+
 def test_select_and_validate_roundtrip(tmp_path, capsys):
     plan_file = tmp_path / "plan.json"
     code, out = run(

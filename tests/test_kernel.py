@@ -16,6 +16,7 @@ from schaudermat import (
     select_subsets,
     transform_right_permutation,
 )
+from schaudermat import kernel
 from test_olevskii import dense_factors
 
 
@@ -230,6 +231,68 @@ class TestPermutationMatrix:
         f = np.array([[1.0, -0.0], [0.0, 1.0]])
         out = transform_right_permutation(biorthogonal_inverse(f), [2, 1])
         assert np.signbit(out.f[0, 0]) and not np.signbit((f @ permutation_matrix([2, 1]))[0, 0])
+
+
+@pytest.fixture
+def term_sums(monkeypatch):
+    """Counts the products that kernel.product sums over their nonzero terms."""
+    calls, cell_sums = [], kernel._cell_sums
+    monkeypatch.setattr(kernel, "_cell_sums", lambda *a: calls.append(1) or cell_sums(*a))
+    return calls
+
+
+def assert_product_matches_blas(a, b):
+    """kernel.product(a, b) against a @ b: both are sums of at most m nonzero terms per
+    cell, so each lies within m*eps*(|a| @ |b|) of the exact product."""
+    m = ((a != 0).astype(float) @ (b != 0)).max()
+    got, want = kernel.product(a, b), a @ b
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.all(np.abs(got - want) <= 2 * m * np.finfo(float).eps * (np.abs(a) @ np.abs(b)))
+
+
+def sparse_random(rng, shape, density):
+    return rng.standard_normal(shape) * (rng.random(shape) < density)
+
+
+class TestProduct:
+    """kernel.product sums the nonzero terms when they are at most an eighth of the
+    cells and leaves every other product to BLAS."""
+
+    def test_block_pair_in_both_orders(self, term_sums):
+        pair = olevskii_block(10, 0.8)
+        term_sums.clear()  # the pair check's own product
+        # F G* has (k + 1)^2 2^k = 123 904 terms on 2^20 cells; G* F has more than 2^20.
+        assert_product_matches_blas(pair.f, pair.gstar)
+        assert term_sums == [1]
+        assert_product_matches_blas(pair.gstar, pair.f)
+        assert term_sums == [1]
+
+    def test_sparse_with_an_empty_row_and_column(self, term_sums):
+        rng = np.random.default_rng(7)
+        a, b = sparse_random(rng, (120, 90), 0.03), sparse_random(rng, (90, 100), 0.03)
+        a[17], a[:, 40], b[40], b[:, 3] = 0.0, 0.0, 0.0, 0.0
+        assert_product_matches_blas(a, b)
+        assert_product_matches_blas(b.T, a.T)
+        assert term_sums == [1, 1]
+        c = kernel.product(a, b)
+        assert not c[17].any() and not c[:, 3].any()
+
+    def test_negative_zeros_are_zero_terms(self, term_sums):
+        rng = np.random.default_rng(8)
+        a, b = sparse_random(rng, (64, 64), 0.02), sparse_random(rng, (64, 64), 0.02)
+        a[a == 0], b[:, ::2] = -0.0, -0.0
+        assert_product_matches_blas(a, b)
+        assert term_sums == [1]
+
+    def test_one_by_one_and_all_zero(self):
+        assert kernel.product(np.array([[3.0]]), np.array([[-0.5]])).tolist() == [[-1.5]]
+        assert not kernel.product(np.zeros((4, 3)), np.ones((3, 5))).any()
+
+    def test_dense_takes_blas(self, term_sums):
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((50, 60)), rng.standard_normal((60, 40))
+        np.testing.assert_array_equal(kernel.product(a, b), a @ b)
+        assert term_sums == []
 
 
 class TestPolarDecompose:

@@ -28,7 +28,7 @@ from schaudermat import (
     transform_right_permutation,
     unconditional_constant,
 )
-from schaudermat import jsonfmt
+from schaudermat import jsonfmt, schauder
 from schaudermat.olevskii import weight_exponents
 from schaudermat.schauder import (
     _BATCH,
@@ -36,7 +36,9 @@ from schaudermat.schauder import (
     MAX_EXACT_CUTOFF,
     PAIR_TOL,
     _best_mask,
+    _deviation,
     _masked_norms,
+    _other_side_bound,
     _prefix_batches,
     _subset_batches,
     _sign_witness,
@@ -147,6 +149,57 @@ class TestBiorthogonalInverse:
         assert isinstance(pair.f, np.ndarray) and isinstance(pair.gstar, np.ndarray)
         pair = BasisPair(f=np.eye(2, dtype=int), gstar=np.eye(2, dtype=int))
         assert pair.f.dtype == np.float64 and pair.gstar.dtype == np.float64
+
+
+@pytest.fixture
+def pair_products(monkeypatch):
+    """The (left, right) factors of each product the pair check forms."""
+    calls, product = [], schauder.product
+    monkeypatch.setattr(schauder, "product", lambda a, b: calls.append((a, b)) or product(a, b))
+    return calls
+
+
+class TestPairCheck:
+    """BasisPair forms F G* - I and forms G* F - I only when the bound from the first misses."""
+
+    @pytest.mark.parametrize("k, bound", [(10, 2.0e-11), (11, 5.7e-11), (12, 1.6e-10)])
+    def test_blocks_are_certified_from_one_product(self, pair_products, k, bound):
+        pair = olevskii_block(k, 0.8)
+        assert len(pair_products) == 1 and pair_products[0][0] is pair.f
+        rho = pair.size * _deviation(pair.f, pair.gstar)
+        assert _other_side_bound(pair.f, pair.gstar, rho) == pytest.approx(bound, rel=0.05)
+        assert bound < PAIR_TOL
+
+    def test_refused_by_the_formed_other_side(self, pair_products):
+        # max|F G* - I| = eps but max|G* F - I| = eps t^2: the bound, about 2 eps t^2,
+        # misses PAIR_TOL, so G* F is formed and its deviation is named.
+        eps, t = 1e-12, 1e3
+        f = np.array([[1.0, t], [0.0, 1.0]])
+        g = np.array([[1.0, -t], [0.0, 1.0]]) + eps * np.array([[-t, 0.0], [1.0, 0.0]])
+        assert np.abs(f @ g - np.eye(2)).max() == pytest.approx(eps, rel=1e-3)
+        with pytest.raises(ValueError) as info:
+            BasisPair(f=f, gstar=g)
+        assert str(info.value) == ("F*Gstar and Gstar*F must equal the identity within 1e-9; "
+                                   "the largest deviation is 1e-06")
+        assert [a is f for a, _ in pair_products] == [True, False]
+
+    def test_missed_bound_forms_the_other_side_and_accepts(self, pair_products):
+        g = np.eye(3)
+        g[0, 1] = 0.9 * PAIR_TOL  # rho = 2.7e-9: the bound misses, G* F passes
+        BasisPair(f=np.eye(3), gstar=g)
+        assert len(pair_products) == 2
+
+    def test_traced_peak_of_the_block_check(self):
+        # 1.04 n^2 doubles at k = 10 under tracemalloc with numpy 2.4: the product is the
+        # one n x n array, and the bound's |F| and |G*| come one at a time after it.
+        pair = olevskii_block(10, 0.8)
+        tracemalloc.start()
+        try:
+            BasisPair(f=pair.f, gstar=pair.gstar)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * pair.size ** 2
 
 
 class TestNaturalProjection:

@@ -135,6 +135,15 @@ class TestSpectrumSequence:
         with pytest.raises(ValueError, match="spectrum file values read must be at most 3, got 4"):
             parse_spectrum(str(path))
 
+    def test_file_is_read_in_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(schaudermat.selection, "_CHUNK", 2)
+        path = tmp_path / "s.txt"
+        path.write_text("1\n# note\n0.5\n0.25\n\n0.125\n0.0625\n")
+        assert parse_spectrum(str(path)).values.tolist() == [1, 0.5, 0.25, 0.125, 0.0625]
+        path.write_text("1\n0.5\n0.25\n0.125\n1e-1_0\n")
+        with pytest.raises(IOError, match="s.txt: line 5: unparsable value"):
+            parse_spectrum(str(path))
+
 
 class TestCardinalityProfile:
     def test_harmonic_counts(self):

@@ -151,18 +151,20 @@ def test_trailing_comment_rejected(tmp_path):
     (b"\n2\n\n\n0.5\n0.25\n\n", [2.0, 0.5, 0.25]),
     (b"\t2\r\n0.5\t\r\n  \t\r\n 0.25\r\n", [2.0, 0.5, 0.25]),
     (b"  # values\n2\n\t# tab\n0.5\n   #\n0.25\n# end", [2.0, 0.5, 0.25]),
-    (b"2\n0.5 # half\n0.25\n", None),
-], ids=["blank", "tab-crlf", "indented-comments", "trailing-comment"])
+    (b"2\n0.5 # half\n0.25\n", "line {}: expected 1 values, got 3"),
+    (b"2\n1_0\n0.25\n", "line {}: unparsable value"),
+    (b"2\n0x1p-1\n0.25\n", "line {}: unparsable value"),
+], ids=["blank", "tab-crlf", "indented-comments", "trailing-comment", "underscore", "hex-float"])
 def test_matrix_and_spectrum_files_share_the_data_line_rule(tmp_path, body, values):
-    # The body as a one-column matrix under its header and as a spectrum file:
-    # both readers skip the same lines and refuse a comment after a value.
+    # The body as a one-column matrix under its header and as a spectrum file: both
+    # readers skip the same lines, read the same values and refuse the same lines.
     matrix, spectrum = tmp_path / "m.mtx", tmp_path / "s.txt"
     matrix.write_bytes(b"# column\n3 1\n" + body)
     spectrum.write_bytes(body)
-    if values is None:
-        with pytest.raises(IOError, match="line 4: expected 1 values, got 3"):
+    if isinstance(values, str):  # the message, with the line number in each file
+        with pytest.raises(IOError, match=f"m.mtx: {values.format(4)}"):
             load_matrix(matrix)
-        with pytest.raises(ValueError, match="could not convert string to float: '0.5 # half'"):
+        with pytest.raises(IOError, match=f"s.txt: {values.format(2)}"):
             parse_spectrum(str(spectrum))
     else:
         assert load_matrix(matrix)[:, 0].tolist() == values
