@@ -18,12 +18,14 @@ SINGULAR_RTOL = 1e-12
 CONDITION_INF_RTOL = 1e-14
 
 
+@np.errstate(over="ignore")  # finite entries whose sum overflows are checked one by one
 def as_matrix(m):
-    """Validate and return *m* as a 2-d float64 array with finite entries."""
+    """Validate and return *m* as a 2-d float64 array with finite entries. A sum with an
+    infinite or NaN term is not finite, so a finite sum clears every entry at once."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a.sum()) and not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -47,16 +49,6 @@ def _cell_sums(a, b, nb, terms):
     cell, term = cell[order], term[order]
     first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])  # where each cell's terms start
     return cell[first], np.add.reduceat(term, first)
-
-
-def product(a, b):
-    """a @ b: summed cell by cell over its nonzero terms when they number at most an
-    eighth of its cells, so that the result is the one full-size array; else by BLAS."""
-    na, nb = np.count_nonzero(a, axis=0), np.count_nonzero(b, axis=1)
-    if not 0 < 8 * (terms := int(na @ nb)) <= a.shape[0] * b.shape[1]:
-        return a @ b
-    c = np.bincount(*_cell_sums(a, b, nb, terms), minlength=a.shape[0] * b.shape[1])
-    return c.reshape(a.shape[0], b.shape[1])
 
 
 def invert(m):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _as_matrix_or_diagonal, as_matrix, condition_number, invert, product
+from .kernel import _as_matrix_or_diagonal, _cell_sums, as_matrix, condition_number, invert
 
 PAIR_TOL = 1e-9
 # Largest accepted SearchBudget.exact_cutoff: exact enumeration of N indices
@@ -32,6 +32,9 @@ _GATHERED = 2 ** 20
 # Largest Haar level k; 2^k = 4096 also bounds every other generated section.
 HAAR_MAX_LEVEL = 12
 
+# Cells per chunk of whole columns that _by_columns passes to its function.
+_COLUMN_CELLS = 2 ** 16
+
 # riesz_diagnostic's verdict thresholds on the condition numbers: RieszConsistent
 # needs every section within RIESZ_BOUND, NotRiesz the largest above RIESZ_DIVERGENCE.
 RIESZ_BOUND = 1e2
@@ -39,10 +42,28 @@ RIESZ_DIVERGENCE = 1e3
 
 
 def _deviation(a, b):
-    """max |a b - I| of square *a* and *b*; a b is the one n x n array, shifted in place."""
-    r = product(a, b)
-    r.flat[:: r.shape[0] + 1] -= 1.0
-    return float(np.max(np.abs(r, out=r)))
+    """max |a b - I| of square *a* and *b*. When the nonzero terms a[i,l] b[l,j] number
+    at most an eighth of the cells, it is read off the cells they reach (_cell_sums),
+    a diagonal cell that none reaches deviating by 1; otherwise a b is formed by BLAS."""
+    n = a.shape[0]
+    nb = np.count_nonzero(b, axis=1)
+    if not 0 < 8 * (terms := int(np.count_nonzero(a, axis=0) @ nb)) <= n * n:
+        r = a @ b
+        r.flat[:: n + 1] -= 1.0
+        return float(np.max(np.abs(r, out=r)))
+    cell, r = _cell_sums(a, b, nb, terms)
+    diagonal = cell % (n + 1) == 0  # cell i n + j with i = j
+    r[diagonal] -= 1.0
+    return max(float(np.max(np.abs(r))), float(np.count_nonzero(diagonal) < n))
+
+
+def _by_columns(a, fn):
+    """fn(c), one value per column, over chunks c of *a* of at least two whole columns and
+    about _COLUMN_CELLS cells, concatenated. A reduction along axis 0 runs in each chunk in
+    the order it runs on all of *a* (a chunk of one C-ordered column would not), and makes
+    no temporary as large as *a*."""
+    step = max(2, _COLUMN_CELLS // a.shape[0])
+    return np.concatenate([fn(c) for c in np.array_split(a, max(1, a.shape[1] // step), axis=1)])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan is not below PAIR_TOL
@@ -51,10 +72,9 @@ def _other_side_bound(f, g, rho):
     G*F - I = G* R (I + R)^-1 F, so each entry is at most ||F||_2 ||G*||_2 rho / (1 - rho),
     and ||M||_2 <= (||M||_1 ||M||_inf)^(1/2) (Higham, Accuracy and Stability, ch. 14)."""
     bound = rho / (1 - rho)
-    for a in (f, g):
-        m = np.abs(a)  # one n x n temporary at a time
-        bound *= np.sqrt(m.sum(axis=0).max() * m.sum(axis=1).max())
-        del m
+    for a in (f, g):  # ||a||_1 and ||a||_inf, the largest column sums of |a| and |a^T|
+        norm1, norm_inf = (_by_columns(m, lambda c: np.abs(c).sum(axis=0)).max() for m in (a, a.T))
+        bound *= np.sqrt(norm1 * norm_inf)
     return bound
 
 
@@ -62,10 +82,10 @@ def _other_side_bound(f, g, rho):
 class BasisPair:
     """A section F and its two-sided inverse Gstar.
 
-    R = F G* - I is formed (kernel.product) and each entry must lie below PAIR_TOL.
+    Each entry of R = F G* - I (_deviation) must lie below PAIR_TOL.
     Then G*F - I is bounded from rho = n max|R| >= ||R||_2 (_other_side_bound); only
     when that bound misses PAIR_TOL is G*F formed and checked in the same way. The
-    bound is judged on the formed R, just as each check judges a formed product.
+    bound is judged on the computed entries of R, as each check judges computed entries.
     """
 
     f: np.ndarray
@@ -332,13 +352,17 @@ def unconditional_constant(pair, budget=SearchBudget()):
     return _estimate(f, gstar, best_mask, "LowerBoundWitness", evaluations)
 
 
-def quasinormality_bounds(f):
-    """(min, max) Euclidean column norms of F, each column scaled first by the power of
-    two of its largest entry (exact), so that no square overflows or underflows."""
-    a = as_matrix(f)
+def _column_norms(a):
+    """Euclidean column norms of *a*, each column scaled first by the power of two of its
+    largest entry (exact), so that no square overflows or underflows."""
     e = np.frexp(np.maximum(a.max(axis=0), -a.min(axis=0)))[1]
     b = np.ldexp(a, -e)
-    norms = np.ldexp(np.sqrt(np.add.reduce(np.multiply(b, b, out=b), axis=0)), e)
+    return np.ldexp(np.sqrt(np.add.reduce(np.multiply(b, b, out=b), axis=0)), e)
+
+
+def quasinormality_bounds(f):
+    """(min, max) Euclidean column norms of F (_column_norms)."""
+    norms = _by_columns(as_matrix(f), _column_norms)
     return float(np.min(norms)), float(np.max(norms))
 
 

@@ -14,16 +14,31 @@ import numpy as np
 from .kernel import as_matrix
 
 
+# Cells per chunk of rows that save_matrix formats at once.
+_SAVE_CELLS = 2 ** 16
+
+
 def save_matrix(path, m):
+    """Write *m* _SAVE_CELLS cells of rows at a time. %.17g spells a cell 0 unless its bits
+    are nonzero (a nonzero or -0.0), so a chunk's template is rows of "0 ... 0" with a
+    placeholder at those cells. When a chunk's values repeat, each distinct one, keyed by
+    its bits so that -0.0 stays apart, is formatted once."""
     a = as_matrix(m)
-    # %.17g spells a cell 0 unless it is nonzero or -0.0, so only those cells
-    # are formatted: a row's format holds %.17g there and a literal 0 elsewhere.
-    cells = (a != 0) | np.signbit(a)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for row, c in zip(a, cells):
-            fmt = np.where(c, b"x ", b"0 ").tobytes().decode().replace("x", "%.17g")
-            fh.write(fmt[:-1] % tuple(row[c].tolist()) + "\n")
+    step = max(1, _SAVE_CELLS // a.shape[1])
+    zeros = np.frombuffer(b"0 " * (a.shape[1] - 1) + b"0\n", np.uint8)  # one row
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d\n" % a.shape)
+        for start in range(0, a.shape[0], step):
+            bits = a[start:start + step].view(np.uint64)
+            t = np.tile(zeros, (len(bits), 1))
+            t[:, ::2][cells := bits != 0] = ord("x")
+            keys, at = np.unique(values := bits[cells], return_inverse=True)
+            if 2 * keys.size > values.size:  # mostly distinct: each cell formatted in place
+                fmt, args = b"%.17g", values.view(float).tolist()
+            else:
+                tokens = np.array([b"%.17g" % x for x in keys.view(float).tolist()], object)
+                fmt, args = b"%s", tokens[at].tolist()
+            fh.write(t.tobytes().replace(b"x", fmt) % tuple(args))
 
 
 def _parse(lines, cols):

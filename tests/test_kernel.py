@@ -16,7 +16,8 @@ from schaudermat import (
     select_subsets,
     transform_right_permutation,
 )
-from schaudermat import kernel
+from schaudermat import schauder
+from schaudermat.schauder import _deviation
 from test_olevskii import dense_factors
 
 
@@ -235,19 +236,19 @@ class TestPermutationMatrix:
 
 @pytest.fixture
 def term_sums(monkeypatch):
-    """Counts the products that kernel.product sums over their nonzero terms."""
-    calls, cell_sums = [], kernel._cell_sums
-    monkeypatch.setattr(kernel, "_cell_sums", lambda *a: calls.append(1) or cell_sums(*a))
+    """Counts the deviation checks that sum a b over its nonzero terms."""
+    calls, cell_sums = [], schauder._cell_sums
+    monkeypatch.setattr(schauder, "_cell_sums", lambda *a: calls.append(1) or cell_sums(*a))
     return calls
 
 
-def assert_product_matches_blas(a, b):
-    """kernel.product(a, b) against a @ b: both are sums of at most m nonzero terms per
-    cell, so each lies within m*eps*(|a| @ |b|) of the exact product."""
+def assert_deviation_matches_blas(a, b):
+    """_deviation(a, b) against max|a @ b - I|: both read sums of at most m nonzero terms
+    per cell, each within m*eps*(|a| @ |b|) of the exact product, so the two maxima lie
+    within the largest of those bounds of each other."""
     m = ((a != 0).astype(float) @ (b != 0)).max()
-    got, want = kernel.product(a, b), a @ b
-    assert got.shape == want.shape and got.dtype == np.float64
-    assert np.all(np.abs(got - want) <= 2 * m * np.finfo(float).eps * (np.abs(a) @ np.abs(b)))
+    got, want = _deviation(a, b), np.abs(a @ b - np.eye(a.shape[0])).max()
+    assert abs(got - want) <= 2 * m * np.finfo(float).eps * (np.abs(a) @ np.abs(b)).max()
 
 
 def sparse_random(rng, shape, density):
@@ -255,43 +256,49 @@ def sparse_random(rng, shape, density):
 
 
 class TestProduct:
-    """kernel.product sums the nonzero terms when they are at most an eighth of the
-    cells and leaves every other product to BLAS."""
+    """The pair check's max|a b - I| sums a b over its nonzero terms when they are at
+    most an eighth of the cells and leaves every other product to BLAS."""
 
     def test_block_pair_in_both_orders(self, term_sums):
         pair = olevskii_block(10, 0.8)
         term_sums.clear()  # the pair check's own product
         # F G* has (k + 1)^2 2^k = 123 904 terms on 2^20 cells; G* F has more than 2^20.
-        assert_product_matches_blas(pair.f, pair.gstar)
+        assert_deviation_matches_blas(pair.f, pair.gstar)
         assert term_sums == [1]
-        assert_product_matches_blas(pair.gstar, pair.f)
+        assert_deviation_matches_blas(pair.gstar, pair.f)
         assert term_sums == [1]
 
     def test_sparse_with_an_empty_row_and_column(self, term_sums):
         rng = np.random.default_rng(7)
-        a, b = sparse_random(rng, (120, 90), 0.03), sparse_random(rng, (90, 100), 0.03)
+        a, b = sparse_random(rng, (120, 120), 0.03), sparse_random(rng, (120, 120), 0.03)
         a[17], a[:, 40], b[40], b[:, 3] = 0.0, 0.0, 0.0, 0.0
-        assert_product_matches_blas(a, b)
-        assert_product_matches_blas(b.T, a.T)
+        assert_deviation_matches_blas(a, b)
+        assert_deviation_matches_blas(b.T, a.T)
         assert term_sums == [1, 1]
-        c = kernel.product(a, b)
-        assert not c[17].any() and not c[:, 3].any()
+
+    def test_unreached_diagonal_cell_deviates_by_one(self, term_sums):
+        a = np.eye(16)
+        assert _deviation(a, a) == 0.0
+        assert _deviation(0.5 * a, a) == 0.5
+        a[5, 5] = 0.0  # no term reaches cell (5, 5) of a a
+        assert _deviation(a, a) == 1.0
+        assert term_sums == [1, 1, 1]
 
     def test_negative_zeros_are_zero_terms(self, term_sums):
         rng = np.random.default_rng(8)
         a, b = sparse_random(rng, (64, 64), 0.02), sparse_random(rng, (64, 64), 0.02)
         a[a == 0], b[:, ::2] = -0.0, -0.0
-        assert_product_matches_blas(a, b)
+        assert_deviation_matches_blas(a, b)
         assert term_sums == [1]
 
     def test_one_by_one_and_all_zero(self):
-        assert kernel.product(np.array([[3.0]]), np.array([[-0.5]])).tolist() == [[-1.5]]
-        assert not kernel.product(np.zeros((4, 3)), np.ones((3, 5))).any()
+        assert _deviation(np.array([[3.0]]), np.array([[-0.5]])) == 2.5
+        assert _deviation(np.zeros((4, 4)), np.ones((4, 4))) == 1.0
 
     def test_dense_takes_blas(self, term_sums):
         rng = np.random.default_rng(9)
-        a, b = rng.standard_normal((50, 60)), rng.standard_normal((60, 40))
-        np.testing.assert_array_equal(kernel.product(a, b), a @ b)
+        a, b = rng.standard_normal((50, 50)), rng.standard_normal((50, 50))
+        assert _deviation(a, b) == np.abs(a @ b - np.eye(50)).max()
         assert term_sums == []
 
 

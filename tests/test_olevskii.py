@@ -148,7 +148,7 @@ class TestOlevskiiBlock:
         assert np.max(np.abs(pair.gstar @ pair.f - np.eye(n))) < 1e-10
 
     def test_traced_peak_memory(self):
-        # F, G* and one product for the pair check: 3 x 8 MiB at k = 10.
+        # F, G* and the pair check's term and cell arrays: 22.1 MiB at k = 10.
         tracemalloc.start()
         try:
             olevskii_block(10, 0.8)

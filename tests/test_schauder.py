@@ -153,9 +153,9 @@ class TestBiorthogonalInverse:
 
 @pytest.fixture
 def pair_products(monkeypatch):
-    """The (left, right) factors of each product the pair check forms."""
-    calls, product = [], schauder.product
-    monkeypatch.setattr(schauder, "product", lambda a, b: calls.append((a, b)) or product(a, b))
+    """The (left, right) factors of each product whose deviation the pair check takes."""
+    calls, deviation = [], schauder._deviation
+    monkeypatch.setattr(schauder, "_deviation", lambda a, b: calls.append((a, b)) or deviation(a, b))
     return calls
 
 
@@ -190,8 +190,8 @@ class TestPairCheck:
         assert len(pair_products) == 2
 
     def test_traced_peak_of_the_block_check(self):
-        # 1.04 n^2 doubles at k = 10 under tracemalloc with numpy 2.4: the product is the
-        # one n x n array, and the bound's |F| and |G*| come one at a time after it.
+        # 0.76 n^2 doubles at k = 10 under tracemalloc with numpy 2.4, the term and cell
+        # arrays of F G* - I; 1.04 when F G* was formed and |F| and |G*| were n x n.
         pair = olevskii_block(10, 0.8)
         tracemalloc.start()
         try:
@@ -200,6 +200,29 @@ class TestPairCheck:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 8 * pair.size ** 2
+
+    def test_traced_peak_of_the_deviation(self):
+        # 0.76 n^2 doubles at k = 10 under tracemalloc with numpy 2.4: the term and cell
+        # arrays of F G* (123 904 terms); the formed product alone was n^2.
+        pair = olevskii_block(10, 0.8)
+        tracemalloc.start()
+        try:
+            assert _deviation(pair.f, pair.gstar) < PAIR_TOL
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.9 * 8 * pair.size ** 2
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape, columns", [((258, 197), 28), ((151, 81), 16), ((35, 209), 2)])
+def test_by_columns_keeps_the_reduction_order(monkeypatch, order, shape, columns):
+    # Chunks of exactly `columns` columns would leave one column last, and numpy sums a
+    # lone C-ordered column pairwise instead of row by row.
+    monkeypatch.setattr(schauder, "_COLUMN_CELLS", shape[0] * columns)
+    rng = np.random.default_rng(43)
+    a = np.asarray(rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape), order=order)
+    assert schauder._by_columns(a, lambda c: c.sum(axis=0)).tobytes() == a.sum(axis=0).tobytes()
 
 
 class TestNaturalProjection:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from schaudermat import load_matrix, olevskii_block, parse_spectrum, save_matrix
+from schaudermat import load_matrix, olevskii_block, parse_spectrum, save_matrix, textio
 from schaudermat.cli import main
 
 
@@ -243,3 +243,46 @@ def test_save_traced_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / 2 ** 20 <= 4.0
+
+
+def assert_written_as_reference(path, m):
+    save_matrix(path, m)
+    assert path.read_bytes() == reference_text(m).encode("ascii")
+    assert load_matrix(path).tobytes() == np.ascontiguousarray(m).tobytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
+def test_row_counts_around_a_chunk_boundary(tmp_path, extra):
+    # 64 columns: a chunk holds _SAVE_CELLS // 64 rows, so the last chunk is one row
+    # short of full, full, or a single row.
+    rows = textio._SAVE_CELLS // 64 + extra
+    rng = np.random.default_rng(31)
+    m = np.round(rng.standard_normal((rows, 64)), 1)  # few distinct values
+    m[rng.random(m.shape) < 0.9] = 0.0
+    m[-1, -1], m[-1, 0], m[0, -1] = -0.0, 1.0 / 3.0, 5e-324
+    assert_written_as_reference(tmp_path / "m.mtx", m)
+    assert_written_as_reference(tmp_path / "m.mtx", rng.standard_normal((rows, 64)))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_rows_wider_than_a_chunk(tmp_path, rows):
+    rng = np.random.default_rng(37)
+    m = rng.standard_normal((rows, textio._SAVE_CELLS + 5))
+    m[:, ::3] = 0.0
+    m[:, 1::7] = -0.0
+    m[0, -1] = 2.5  # repeated values and distinct ones, up to the last cell
+    m[:, 2::5] = 2.5
+    assert_written_as_reference(tmp_path / "m.mtx", m)
+
+
+def test_repeated_values_beside_signed_zero_and_subnormals(tmp_path):
+    # Each distinct value of a chunk is formatted once, keyed by its bits: -0.0 is
+    # written -0, and the smallest and largest subnormals and the smallest normal each
+    # keep their own 17 digits.
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     -2.2250738585072009e-308, 2.2250738585072014e-308, 0.1, -7.0, 1e300])
+    rng = np.random.default_rng(41)
+    m = pool[rng.integers(0, pool.size, size=(700, 150))]
+    assert len(np.unique(m.view(np.uint64))) == pool.size
+    assert_written_as_reference(tmp_path / "m.mtx", m)
+    assert_written_as_reference(tmp_path / "t.mtx", m.T)  # F-ordered rows
