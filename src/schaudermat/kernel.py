@@ -18,7 +18,7 @@ SINGULAR_RTOL = 1e-12
 CONDITION_INF_RTOL = 1e-14
 
 
-@np.errstate(over="ignore")  # finite entries whose sum overflows are checked one by one
+@np.errstate(over="ignore", invalid="ignore")  # a sum that is not finite: entry by entry
 def as_matrix(m):
     """Validate and return *m* as a 2-d float64 array with finite entries. A sum with an
     infinite or NaN term is not finite, so a finite sum clears every entry at once."""

@@ -17,6 +17,7 @@ from schaudermat import (
     transform_right_permutation,
 )
 from schaudermat import schauder
+from schaudermat.kernel import as_matrix as kernel_as_matrix
 from schaudermat.schauder import _deviation
 from test_olevskii import dense_factors
 
@@ -77,6 +78,21 @@ class TestConditionNumber:
     def test_vector_checks(self, bad):
         with pytest.raises(ValueError):
             condition_number(bad)
+
+
+@pytest.mark.parametrize("entries, finite", [
+    ([[1.0, np.inf]], False),
+    ([[np.nan, 0.0]], False),
+    ([[np.inf, -np.inf]], False),  # the sum is nan, not inf
+    ([[1.7e308, 1.7e308], [-1.7e308, 1.0]], True),  # the sum overflows, no entry does
+    ([[1.7e308, 1.7e308], [np.inf, 1.0]], False),
+])
+def test_as_matrix_refuses_exactly_the_non_finite_entries(entries, finite):
+    if finite:
+        assert kernel_as_matrix(entries).tolist() == entries
+    else:
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel_as_matrix(entries)
 
 
 def svd_condition(m):
