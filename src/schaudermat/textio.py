@@ -25,12 +25,12 @@ def save_matrix(path, m):
     its bits so that -0.0 stays apart, is formatted once."""
     a = as_matrix(m)
     step = max(1, _SAVE_CELLS // a.shape[1])
-    zeros = np.frombuffer(b"0 " * (a.shape[1] - 1) + b"0\n", np.uint8)  # one row
+    zero_row = np.frombuffer(b"0 " * (a.shape[1] - 1) + b"0\n", np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"%d %d\n" % a.shape)
         for start in range(0, a.shape[0], step):
             bits = a[start:start + step].view(np.uint64)
-            t = np.tile(zeros, (len(bits), 1))
+            t = np.tile(zero_row, (len(bits), 1))
             t[:, ::2][cells := bits != 0] = ord("x")
             keys, at = np.unique(values := bits[cells], return_inverse=True)
             if 2 * keys.size > values.size:  # mostly distinct: each cell formatted in place

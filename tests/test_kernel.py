@@ -17,7 +17,7 @@ from schaudermat import (
     transform_right_permutation,
 )
 from schaudermat import schauder
-from schaudermat.kernel import as_matrix as kernel_as_matrix
+from schaudermat.kernel import as_matrix
 from schaudermat.schauder import _deviation
 from test_olevskii import dense_factors
 
@@ -89,10 +89,10 @@ class TestConditionNumber:
 ])
 def test_as_matrix_refuses_exactly_the_non_finite_entries(entries, finite):
     if finite:
-        assert kernel_as_matrix(entries).tolist() == entries
+        assert as_matrix(entries).tolist() == entries
     else:
         with pytest.raises(ValueError, match="non-finite"):
-            kernel_as_matrix(entries)
+            as_matrix(entries)
 
 
 def svd_condition(m):
@@ -291,6 +291,9 @@ class TestProduct:
         assert_deviation_matches_blas(a, b)
         assert_deviation_matches_blas(b.T, a.T)
         assert term_sums == [1, 1]
+        nb = np.count_nonzero(b, axis=1)
+        cell, _ = schauder._cell_sums(a, b, nb, int(np.count_nonzero(a, axis=0) @ nb))
+        assert not np.any(cell // 120 == 17) and not np.any(cell % 120 == 3)
 
     def test_unreached_diagonal_cell_deviates_by_one(self, term_sums):
         a = np.eye(16)
