@@ -35,22 +35,6 @@ def _require_square(a):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
 
 
-def _cell_sums(a, b, nb, terms):
-    """(flat cells, sums) of the *terms* nonzero terms a[i,l] b[l,j] of a @ b, where nb
-    counts the nonzeros in each row of b (Gustavson, ACM TOMS 4, 1978)."""
-    l, i = np.divmod(np.flatnonzero(a.T != 0), a.shape[0])  # a's nonzeros by column
-    k, j = np.divmod(np.flatnonzero(b != 0), b.shape[1])  # by row: row l is start[l] + range(nb[l])
-    reps = nb[l]  # the terms of each a[i,l]
-    # at: the index in (k, j) of each term's entry of b, row l's run once per a[i,l]
-    at = np.arange(terms) + np.repeat((np.cumsum(nb) - nb)[l] - (np.cumsum(reps) - reps), reps)
-    term = np.repeat(a[i, l], reps) * b[k, j][at]
-    cell = np.repeat(i * b.shape[1], reps) + j[at]
-    order = np.argsort(cell, kind="stable")
-    cell, term = cell[order], term[order]
-    first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])  # where each cell's terms start
-    return cell[first], np.add.reduceat(term, first)
-
-
 def invert(m):
     """Inverse of a square matrix; raises SingularMatrixError near singularity."""
     a = as_matrix(m)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _as_matrix_or_diagonal, _cell_sums, as_matrix, condition_number, invert
+from .kernel import _as_matrix_or_diagonal, as_matrix, condition_number, invert
 
 PAIR_TOL = 1e-9
 # Largest accepted SearchBudget.exact_cutoff: exact enumeration of N indices
@@ -41,51 +41,64 @@ RIESZ_BOUND = 1e2
 RIESZ_DIVERGENCE = 1e3
 
 
-def _deviation(a, b):
-    """max |a b - I| of square *a* and *b*. When the nonzero terms a[i,l] b[l,j] number
-    at most an eighth of the cells, it is read off the cells they reach (_cell_sums),
-    a diagonal cell that none reaches deviating by 1; otherwise a b is formed by BLAS."""
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan is not below PAIR_TOL
+def _deviation(a, b, bound=True):
+    """(max|a b - I|, a bound on max|b a - I| or, without *bound*, inf) of square *a* and *b*,
+    each tested against zero once. When the nonzero terms a[i,l] b[l,j] number at most an
+    eighth of the cells, a b - I is read off the sums of the terms that reach each cell
+    (Gustavson, ACM TOMS 4, 1978), a diagonal cell that none reaches deviating by 1;
+    otherwise a b is formed by BLAS. With R = a b - I and rho = n max|R| >= ||R||_2 < 1,
+    b a - I = b R (I + R)^-1 a, so each entry is at most ||a||_2 ||b||_2 rho / (1 - rho),
+    and ||M||_2 <= (||M||_1 ||M||_inf)^(1/2) (Higham, Accuracy and Stability, ch. 14)."""
     n = a.shape[0]
-    nb = np.count_nonzero(b, axis=1)
-    if not 0 < 8 * (terms := int(np.count_nonzero(a, axis=0) @ nb)) <= n * n:
+    ma, mb = a.T != 0, b != 0
+    nb = np.count_nonzero(mb, axis=1)
+    if dense := not 0 < 8 * (terms := int(np.count_nonzero(ma, axis=1) @ nb)) <= n * n:
+        del ma, mb  # neither mask is live while a b is
         r = a @ b
         r.flat[:: n + 1] -= 1.0
-        return float(np.max(np.abs(r, out=r)))
-    cell, r = _cell_sums(a, b, nb, terms)
-    diagonal = cell % (n + 1) == 0  # cell i n + j with i = j
-    r[diagonal] -= 1.0
-    return max(float(np.max(np.abs(r))), float(np.count_nonzero(diagonal) < n))
+        dev = float(np.max(np.abs(r, out=r)))
+        del r
+    else:  # a's nonzeros by column, b's by row: row l of b is start[l] + range(nb[l])
+        (l, i), (k, j) = (np.divmod(np.flatnonzero(m), n) for m in (ma, mb))
+        del ma, mb
+        av, bv = a[i, l], b[k, j]
+        reps = nb[l]  # the terms of each a[i,l]
+        # at: the index in (k, j) of each term's entry of b, row l's run once per a[i,l]
+        at = np.arange(terms) + np.repeat((np.cumsum(nb) - nb)[l] - (np.cumsum(reps) - reps), reps)
+        term = np.repeat(av, reps) * bv[at]
+        cell = np.repeat(i * n, reps) + j[at]
+        order = np.argsort(cell, kind="stable")
+        cell, term = cell[order], term[order]
+        first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])  # where each cell's terms start
+        cell, r = cell[first], np.add.reduceat(term, first)
+        diagonal = cell % (n + 1) == 0  # cell i n + j with i = j
+        r[diagonal] -= 1.0
+        dev = float(np.max(np.abs(r), initial=float(np.count_nonzero(diagonal) < n)))
+    if not bound:
+        return dev, np.inf
+    a1, a_inf, b1, b_inf = ([np.linalg.norm(m, o) for m in (a, b) for o in (1, np.inf)] if dense
+        else [np.bincount(x, abs(v)).max() for x, v in ((l, av), (i, av), (j, bv), (k, bv))])
+    rho = n * dev
+    return dev, (rho / (1 - rho) * np.sqrt(a1 * a_inf) * np.sqrt(b1 * b_inf) if rho < 1 else np.inf)
 
 
 def _by_columns(a, fn):
     """fn(c), one value per column, over chunks c of *a* of at least two whole columns and
-    about _COLUMN_CELLS cells, concatenated. A reduction along axis 0 runs in each chunk in
-    the order it runs on all of *a* (a chunk of one C-ordered column would not), and makes
-    no temporary as large as *a*."""
+    about _COLUMN_CELLS cells, concatenated; it takes quasinormality_bounds' column norms.
+    A reduction along axis 0 runs in each chunk in the order it runs on all of *a* (a chunk
+    of one C-ordered column would not), and makes no temporary as large as *a*."""
     step = max(2, _COLUMN_CELLS // a.shape[0])
     return np.concatenate([fn(c) for c in np.array_split(a, max(1, a.shape[1] // step), axis=1)])
-
-
-@np.errstate(over="ignore", invalid="ignore")  # inf or nan is not below PAIR_TOL
-def _other_side_bound(f, g, rho):
-    """Bound on every entry of G*F - I, given rho >= ||R||_2 with R = F G* - I and rho < 1:
-    G*F - I = G* R (I + R)^-1 F, so each entry is at most ||F||_2 ||G*||_2 rho / (1 - rho),
-    and ||M||_2 <= (||M||_1 ||M||_inf)^(1/2) (Higham, Accuracy and Stability, ch. 14)."""
-    bound = rho / (1 - rho)
-    for a in (f, g):  # ||a||_1 and ||a||_inf, the largest column sums of |a| and |a^T|
-        norm1, norm_inf = (_by_columns(m, lambda c: np.abs(c).sum(axis=0)).max() for m in (a, a.T))
-        bound *= np.sqrt(norm1 * norm_inf)
-    return bound
 
 
 @dataclass(frozen=True)
 class BasisPair:
     """A section F and its two-sided inverse Gstar.
 
-    Each entry of R = F G* - I (_deviation) must lie below PAIR_TOL.
-    Then G*F - I is bounded from rho = n max|R| >= ||R||_2 (_other_side_bound); only
-    when that bound misses PAIR_TOL is G*F formed and checked in the same way. The
-    bound is judged on the computed entries of R, as each check judges computed entries.
+    Each entry of R = F G* - I must lie below PAIR_TOL. _deviation bounds G*F - I from
+    it; only when that bound misses PAIR_TOL is G*F formed and checked in the same way.
+    The bound is judged on the computed entries of R, as each check judges computed entries.
     """
 
     f: np.ndarray
@@ -98,11 +111,10 @@ class BasisPair:
             raise ValueError(f"pair must be square of equal shape, got {f.shape} and {g.shape}")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "gstar", g)
-        dev = _deviation(f, g)
-        rho = f.shape[0] * dev
-        if dev < PAIR_TOL and not (rho < 1 and _other_side_bound(f, g, rho) < PAIR_TOL):
-            dev = _deviation(g, f)
-        if dev >= PAIR_TOL:
+        dev, bound = _deviation(f, g)
+        if dev < PAIR_TOL and not bound < PAIR_TOL:
+            dev, _ = _deviation(g, f, bound=False)
+        if not dev < PAIR_TOL:  # nan when a product overflows
             raise ValueError("F*Gstar and Gstar*F must equal the identity within 1e-9; "
                              f"the largest deviation is {dev:.3g}")
 
@@ -137,6 +149,8 @@ class SearchBudget:
         if self.exact_cutoff > MAX_EXACT_CUTOFF:
             raise ValueError(f"exact cutoff {self.exact_cutoff} exceeds the limit "
                              f"{MAX_EXACT_CUTOFF} (exact enumeration evaluates 2^N subsets)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -622,6 +622,20 @@ def test_negative_exact_cutoff_exit_code(tmp_path, capsys, command):
     assert "exact cutoff must be >= 0, got -1" in captured.err
 
 
+@pytest.mark.parametrize("command", ["constants", "demo-harmonic"])
+def test_negative_seed_exit_code(tmp_path, capsys, command):
+    # A k = 5 block is settled by its sign witness and demo-harmonic --levels 2 by its
+    # prefix pairs, so neither search draws from the seed: the budget must refuse it.
+    mat = tmp_path / "f.mtx"
+    save_matrix(mat, olevskii_block(5, 0.8).f)
+    args = ["--matrix", str(mat)] if command == "constants" else ["--levels", "2"]
+    code = main([command, *args, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "seed must be >= 0, got -1" in captured.err
+
+
 def test_unknown_command_exit_code(capsys):
     assert main(["no-such-command"]) == 1
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schaudermat import (
+    BasisPair,
     SingularMatrixError,
     biorthogonal_inverse,
     condition_number,
@@ -16,7 +17,6 @@ from schaudermat import (
     select_subsets,
     transform_right_permutation,
 )
-from schaudermat import schauder
 from schaudermat.kernel import as_matrix
 from schaudermat.schauder import _deviation
 from test_olevskii import dense_factors
@@ -252,9 +252,10 @@ class TestPermutationMatrix:
 
 @pytest.fixture
 def term_sums(monkeypatch):
-    """Counts the deviation checks that sum a b over its nonzero terms."""
-    calls, cell_sums = [], schauder._cell_sums
-    monkeypatch.setattr(schauder, "_cell_sums", lambda *a: calls.append(1) or cell_sums(*a))
+    """The flat cells of the terms of each deviation check that sums a b over its nonzero
+    terms, one array per check: the check sorts its terms by cell once."""
+    calls, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda cell, **kw: calls.append(cell) or argsort(cell, **kw))
     return calls
 
 
@@ -263,12 +264,20 @@ def assert_deviation_matches_blas(a, b):
     per cell, each within m*eps*(|a| @ |b|) of the exact product, so the two maxima lie
     within the largest of those bounds of each other."""
     m = ((a != 0).astype(float) @ (b != 0)).max()
-    got, want = _deviation(a, b), np.abs(a @ b - np.eye(a.shape[0])).max()
+    got, want = _deviation(a, b)[0], np.abs(a @ b - np.eye(a.shape[0])).max()
     assert abs(got - want) <= 2 * m * np.finfo(float).eps * (np.abs(a) @ np.abs(b)).max()
 
 
 def sparse_random(rng, shape, density):
     return rng.standard_normal(shape) * (rng.random(shape) < density)
+
+
+def sparse_pair_with_an_empty_row_and_column():
+    """A 3 %-dense 120 x 120 pair; row 17 and column 3 of a b are reached by no term."""
+    rng = np.random.default_rng(7)
+    a, b = sparse_random(rng, (120, 120), 0.03), sparse_random(rng, (120, 120), 0.03)
+    a[17], a[:, 40], b[40], b[:, 3] = 0.0, 0.0, 0.0, 0.0
+    return a, b
 
 
 class TestProduct:
@@ -280,45 +289,71 @@ class TestProduct:
         term_sums.clear()  # the pair check's own product
         # F G* has (k + 1)^2 2^k = 123 904 terms on 2^20 cells; G* F has more than 2^20.
         assert_deviation_matches_blas(pair.f, pair.gstar)
-        assert term_sums == [1]
+        assert len(term_sums) == 1
         assert_deviation_matches_blas(pair.gstar, pair.f)
-        assert term_sums == [1]
+        assert len(term_sums) == 1
 
     def test_sparse_with_an_empty_row_and_column(self, term_sums):
-        rng = np.random.default_rng(7)
-        a, b = sparse_random(rng, (120, 120), 0.03), sparse_random(rng, (120, 120), 0.03)
-        a[17], a[:, 40], b[40], b[:, 3] = 0.0, 0.0, 0.0, 0.0
+        a, b = sparse_pair_with_an_empty_row_and_column()
         assert_deviation_matches_blas(a, b)
         assert_deviation_matches_blas(b.T, a.T)
-        assert term_sums == [1, 1]
-        nb = np.count_nonzero(b, axis=1)
-        cell, _ = schauder._cell_sums(a, b, nb, int(np.count_nonzero(a, axis=0) @ nb))
+        assert len(term_sums) == 2
+        cell = term_sums[0]  # of a b
         assert not np.any(cell // 120 == 17) and not np.any(cell % 120 == 3)
+
+    @pytest.mark.parametrize("k", [10, 11, None],
+                             ids=["block-10", "block-11", "empty-row-and-column"])
+    def test_sparse_norms_match_numpy(self, monkeypatch, term_sums, k):
+        # ||a||_1, ||a||_inf, ||b||_1 and ||b||_inf, each summed over the listed nonzeros
+        if k is None:
+            a, b = sparse_pair_with_an_empty_row_and_column()
+        else:
+            pair = olevskii_block(k, 0.8)
+            a, b = pair.f, pair.gstar
+        term_sums.clear()  # the block's own pair check
+        norms, bincount = [], np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *args: norms.append(bincount(*args)) or norms[-1])
+        _deviation(a, b)
+        assert len(term_sums) == 1
+        want = [np.linalg.norm(m, o) for m in (a, b) for o in (1, np.inf)]
+        assert [s.max() for s in norms] == pytest.approx(want, rel=a.shape[0] * np.finfo(float).eps)
 
     def test_unreached_diagonal_cell_deviates_by_one(self, term_sums):
         a = np.eye(16)
-        assert _deviation(a, a) == 0.0
-        assert _deviation(0.5 * a, a) == 0.5
+        assert _deviation(a, a)[0] == 0.0
+        assert _deviation(0.5 * a, a)[0] == 0.5
         a[5, 5] = 0.0  # no term reaches cell (5, 5) of a a
-        assert _deviation(a, a) == 1.0
-        assert term_sums == [1, 1, 1]
+        assert _deviation(a, a)[0] == 1.0
+        assert len(term_sums) == 3
 
     def test_negative_zeros_are_zero_terms(self, term_sums):
         rng = np.random.default_rng(8)
         a, b = sparse_random(rng, (64, 64), 0.02), sparse_random(rng, (64, 64), 0.02)
         a[a == 0], b[:, ::2] = -0.0, -0.0
         assert_deviation_matches_blas(a, b)
-        assert term_sums == [1]
+        assert len(term_sums) == 1
 
-    def test_one_by_one_and_all_zero(self):
-        assert _deviation(np.array([[3.0]]), np.array([[-0.5]])) == 2.5
-        assert _deviation(np.zeros((4, 4)), np.ones((4, 4))) == 1.0
+    def test_one_by_one_and_all_zero(self, term_sums):
+        assert _deviation(np.array([[3.0]]), np.array([[-0.5]]))[0] == 2.5
+        assert _deviation(np.zeros((4, 4)), np.ones((4, 4)))[0] == 1.0
+        assert term_sums == []
 
     def test_dense_takes_blas(self, term_sums):
         rng = np.random.default_rng(9)
         a, b = rng.standard_normal((50, 50)), rng.standard_normal((50, 50))
-        assert _deviation(a, b) == np.abs(a @ b - np.eye(50)).max()
+        assert _deviation(a, b)[0] == np.abs(a @ b - np.eye(50)).max()
         assert term_sums == []
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_overflowing_product_is_refused(self, term_sums, n):
+        # Cell (0, 1) of f g is t (-t) + t t = -inf + inf: 4 terms on 4 cells take BLAS,
+        # 66 on 4096 the sparse sum; neither may accept the pair or warn.
+        t = 1e200
+        f, g = np.eye(n), np.eye(n)
+        f[:2, :2], g[:2, :2] = [[t, t], [0.0, 1 / t]], [[1 / t, -t], [0.0, t]]
+        with pytest.raises(ValueError, match=r"the largest deviation is (inf|nan)$"):
+            BasisPair(f=f, gstar=g)
+        assert len(term_sums) == (n == 64)
 
 
 class TestPolarDecompose:

@@ -38,7 +38,6 @@ from schaudermat.schauder import (
     _best_mask,
     _deviation,
     _masked_norms,
-    _other_side_bound,
     _prefix_batches,
     _subset_batches,
     _sign_witness,
@@ -155,19 +154,21 @@ class TestBiorthogonalInverse:
 def pair_products(monkeypatch):
     """The (left, right) factors of each product whose deviation the pair check takes."""
     calls, deviation = [], schauder._deviation
-    monkeypatch.setattr(schauder, "_deviation", lambda a, b: calls.append((a, b)) or deviation(a, b))
+    monkeypatch.setattr(schauder, "_deviation",
+                        lambda a, b, **kw: calls.append((a, b)) or deviation(a, b, **kw))
     return calls
 
 
 class TestPairCheck:
     """BasisPair forms F G* - I and forms G* F - I only when the bound from the first misses."""
 
-    @pytest.mark.parametrize("k, bound", [(10, 2.0e-11), (11, 5.7e-11), (12, 1.6e-10)])
+    @pytest.mark.parametrize("k, bound",
+                             [(8, 2.4e-12), (10, 2.0e-11), (11, 5.7e-11), (12, 1.6e-10)])
     def test_blocks_are_certified_from_one_product(self, pair_products, k, bound):
+        # k = 8 forms F G* by BLAS and takes the bound's norms from the dense factors
         pair = olevskii_block(k, 0.8)
         assert len(pair_products) == 1 and pair_products[0][0] is pair.f
-        rho = pair.size * _deviation(pair.f, pair.gstar)
-        assert _other_side_bound(pair.f, pair.gstar, rho) == pytest.approx(bound, rel=0.05)
+        assert _deviation(pair.f, pair.gstar)[1] == pytest.approx(bound, rel=0.05)
         assert bound < PAIR_TOL
 
     def test_refused_by_the_formed_other_side(self, pair_products):
@@ -189,10 +190,11 @@ class TestPairCheck:
         BasisPair(f=np.eye(3), gstar=g)
         assert len(pair_products) == 2
 
-    def test_traced_peak_of_the_block_check(self):
-        # 0.76 n^2 doubles at k = 10 under tracemalloc with numpy 2.4, the term and cell
-        # arrays of F G* - I; 1.04 when F G* was formed and |F| and |G*| were n x n.
-        pair = olevskii_block(10, 0.8)
+    @pytest.mark.parametrize("k", [8, 10])
+    def test_traced_peak_of_the_block_check(self, k):
+        # Under tracemalloc with numpy 2.4: k = 8 1.02 n^2 doubles, F G* formed by BLAS;
+        # k = 10 0.79, the term and cell arrays of F G* - I (1.04 when F G* was formed).
+        pair = olevskii_block(k, 0.8)
         tracemalloc.start()
         try:
             BasisPair(f=pair.f, gstar=pair.gstar)
@@ -202,12 +204,12 @@ class TestPairCheck:
         assert peak <= 1.1 * 8 * pair.size ** 2
 
     def test_traced_peak_of_the_deviation(self):
-        # 0.76 n^2 doubles at k = 10 under tracemalloc with numpy 2.4: the term and cell
+        # 0.79 n^2 doubles at k = 10 under tracemalloc with numpy 2.4: the term and cell
         # arrays of F G* (123 904 terms); the formed product alone was n^2.
         pair = olevskii_block(10, 0.8)
         tracemalloc.start()
         try:
-            assert _deviation(pair.f, pair.gstar) < PAIR_TOL
+            assert _deviation(pair.f, pair.gstar)[0] < PAIR_TOL
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -854,6 +856,11 @@ class TestReportedValues:
         SearchBudget(exact_cutoff=MAX_EXACT_CUTOFF)
         with pytest.raises(ValueError, match="exact cutoff"):
             SearchBudget(exact_cutoff=MAX_EXACT_CUTOFF + 1)
+
+    def test_negative_seed_is_refused(self):
+        SearchBudget(seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SearchBudget(seed=-1)
 
 
 def assert_one_member_per_complementary_pair(masks, n):
