@@ -116,17 +116,9 @@ def cmd_counterexample(args):
     return EXIT_OK
 
 
-def _scaled_pair(f):
-    """The pair of a loaded F scaled in place by the power of two that brings its largest
-    entry into [1, 2): exact, and no F P G* changes, while F^T F and G* G*^T stay in range."""
-    e = np.frexp(max(f.max(), -f.min()))[1] - 1
-    return biorthogonal_inverse(np.ldexp(f, -e, out=f))
-
-
 def cmd_constants(args):
-    f = load_matrix(args.matrix)
-    qmin, qmax = quasinormality_bounds(f)
-    pair = _scaled_pair(f)
+    pair = biorthogonal_inverse(load_matrix(args.matrix))
+    qmin, qmax = quasinormality_bounds(pair.f)
     bc = basis_constant(pair)
     uc = unconditional_constant(pair, budget=_budget(args))
     payload = {"basis": bc, "unconditional": uc, "quasinormMin": qmin, "quasinormMax": qmax}
@@ -136,7 +128,7 @@ def cmd_constants(args):
 
 
 def cmd_dual_constants(args):
-    pair = _scaled_pair(load_matrix(args.matrix))
+    pair = biorthogonal_inverse(load_matrix(args.matrix))
     # The dual basis (G, F^T) has projections G P_n F^T = (F P_n G*)^T, of the same norms.
     _emit(args, {"dualBasis": basis_constant(pair).value})
     return EXIT_OK

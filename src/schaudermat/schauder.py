@@ -32,7 +32,7 @@ _GATHERED = 2 ** 20
 # Largest Haar level k; 2^k = 4096 also bounds every other generated section.
 HAAR_MAX_LEVEL = 12
 
-# Cells per chunk of whole columns that _by_columns passes to its function.
+# Cells per chunk of whole columns whose norms _column_norms takes at once.
 _COLUMN_CELLS = 2 ** 16
 
 # riesz_diagnostic's verdict thresholds on the condition numbers: RieszConsistent
@@ -47,9 +47,11 @@ def _deviation(a, b, bound=True):
     each tested against zero once. When the nonzero terms a[i,l] b[l,j] number at most an
     eighth of the cells, a b - I is read off the sums of the terms that reach each cell
     (Gustavson, ACM TOMS 4, 1978), a diagonal cell that none reaches deviating by 1;
-    otherwise a b is formed by BLAS. With R = a b - I and rho = n max|R| >= ||R||_2 < 1,
-    b a - I = b R (I + R)^-1 a, so each entry is at most ||a||_2 ||b||_2 rho / (1 - rho),
-    and ||M||_2 <= (||M||_1 ||M||_inf)^(1/2) (Higham, Accuracy and Stability, ch. 14)."""
+    otherwise a b is formed by BLAS. With R = a b - I and rho >= ||R||_2 < 1 (n max|R|, or
+    (||R||_1 ||R||_inf)^(1/2) of a formed R), b a - I = b R (I + R)^-1 a, so each entry is at
+    most ||a||_2 ||b||_2 rho / (1 - rho), and ||M||_2 <= (||M||_1 ||M||_inf)^(1/2) (Higham,
+    Accuracy and Stability, ch. 14), taken as (||a||_1 ||b||_1 ||a||_inf ||b||_inf)^(1/2) in
+    two square roots that 2^-e a, 2^e b leave unchanged."""
     n = a.shape[0]
     ma, mb = a.T != 0, b != 0
     nb = np.count_nonzero(mb, axis=1)
@@ -58,6 +60,7 @@ def _deviation(a, b, bound=True):
         r = a @ b
         r.flat[:: n + 1] -= 1.0
         dev = float(np.max(np.abs(r, out=r)))
+        rho = np.sqrt(r.sum(axis=0).max() * r.sum(axis=1).max())
         del r
     else:  # a's nonzeros by column, b's by row: row l of b is start[l] + range(nb[l])
         (l, i), (k, j) = (np.divmod(np.flatnonzero(m), n) for m in (ma, mb))
@@ -75,21 +78,12 @@ def _deviation(a, b, bound=True):
         diagonal = cell % (n + 1) == 0  # cell i n + j with i = j
         r[diagonal] -= 1.0
         dev = float(np.max(np.abs(r), initial=float(np.count_nonzero(diagonal) < n)))
+        rho = n * dev
     if not bound:
         return dev, np.inf
     a1, a_inf, b1, b_inf = ([np.linalg.norm(m, o) for m in (a, b) for o in (1, np.inf)] if dense
         else [np.bincount(x, abs(v)).max() for x, v in ((l, av), (i, av), (j, bv), (k, bv))])
-    rho = n * dev
-    return dev, (rho / (1 - rho) * np.sqrt(a1 * a_inf) * np.sqrt(b1 * b_inf) if rho < 1 else np.inf)
-
-
-def _by_columns(a, fn):
-    """fn(c), one value per column, over chunks c of *a* of at least two whole columns and
-    about _COLUMN_CELLS cells, concatenated; it takes quasinormality_bounds' column norms.
-    A reduction along axis 0 runs in each chunk in the order it runs on all of *a* (a chunk
-    of one C-ordered column would not), and makes no temporary as large as *a*."""
-    step = max(2, _COLUMN_CELLS // a.shape[0])
-    return np.concatenate([fn(c) for c in np.array_split(a, max(1, a.shape[1] // step), axis=1)])
+    return dev, (rho / (1 - rho) * np.sqrt(a1 * b1) * np.sqrt(a_inf * b_inf) if rho < 1 else np.inf)
 
 
 @dataclass(frozen=True)
@@ -302,21 +296,28 @@ def _estimate(f, gstar, mask, mode, evaluations):
     return ConstantEstimate(_attained(f, gstar, mask), mode, witness, evaluations)
 
 
-def _check_range(pair):
-    """Refuse entries above sqrt(max float / N), where F^T F or G* G*^T may overflow;
-    F -> 2^-e F, G* -> 2^e G* brings a pair into range exactly and keeps every F P G*."""
-    top = max(pair.f.max(), -pair.f.min(), pair.gstar.max(), -pair.gstar.min())
-    if top > np.sqrt(np.finfo(float).max / pair.size):
-        raise ValueError(f"pair entry {top:.3g} is out of range for F^T F and G* G*^T: "
-                         "scale F by a power of two")
+def _in_range(pair):
+    """(F, G*) of *pair*, or when an entry exceeds sqrt(max float / N), where F^T F or G* G*^T
+    may overflow, (2^-e F, 2^e G*) for the power of two e that makes the larger of their largest
+    entries least. That is exact and keeps every F P G*; a pair still out of range is refused."""
+    f, g = pair.f, pair.gstar
+    limit = np.sqrt(np.finfo(float).max / pair.size)
+    top_f, top_g = max(f.max(), -f.min()), max(g.max(), -g.min())
+    if max(top_f, top_g) <= limit:
+        return f, g
+    e = (np.frexp(top_f)[1] - np.frexp(top_g)[1]) // 2
+    e += np.ldexp(top_f, -e) > np.ldexp(top_g, e + 1)  # one more step if G* doubled stays below F
+    if max(np.ldexp(top_f, -e), np.ldexp(top_g, e)) > limit:
+        raise ValueError(f"pair entries {top_f:.3g} of F and {top_g:.3g} of G* are out of range "
+                         "for F^T F and G* G*^T at every power-of-two scaling")
+    return np.ldexp(f, -e), np.ldexp(g, e)
 
 
 def basis_constant(pair):
     """Exact maximum of ||F P_n G*|| over prefixes n = 1..N."""
-    _check_range(pair)
-    n = pair.size
-    _, mask = _best_mask(pair.f, pair.gstar, _prefix_batches(n))
-    return _estimate(pair.f, pair.gstar, mask, "Exact", n)
+    f, gstar = _in_range(pair)
+    _, mask = _best_mask(f, gstar, _prefix_batches(pair.size))
+    return _estimate(f, gstar, mask, "Exact", pair.size)
 
 
 def unconditional_constant(pair, budget=SearchBudget()):
@@ -331,9 +332,8 @@ def unconditional_constant(pair, budget=SearchBudget()):
     walk from the best prefix or sample may end higher, so both are taken and the larger
     end is kept. The value is the witness's SVD norm.
     """
-    _check_range(pair)
+    f, gstar = _in_range(pair)
     n = pair.size
-    f, gstar = pair.f, pair.gstar
     if n <= budget.exact_cutoff:
         _, mask = _best_mask(f, gstar, _subset_batches(n))
         return _estimate(f, gstar, mask, "Exact", 2 ** n)
@@ -368,15 +368,22 @@ def unconditional_constant(pair, budget=SearchBudget()):
 
 def _column_norms(a):
     """Euclidean column norms of *a*, each column scaled first by the power of two of its
-    largest entry (exact), so that no square overflows or underflows."""
-    e = np.frexp(np.maximum(a.max(axis=0), -a.min(axis=0)))[1]
-    b = np.ldexp(a, -e)
-    return np.ldexp(np.sqrt(np.add.reduce(np.multiply(b, b, out=b), axis=0)), e)
+    largest entry (exact), so that no square overflows or underflows. They are taken over
+    chunks of at least two whole columns and about _COLUMN_CELLS cells: the sum along axis 0
+    runs in each chunk in the order it runs on all of *a* (a chunk of one C-ordered column
+    would not), and no temporary is as large as *a*."""
+    step = max(2, _COLUMN_CELLS // a.shape[0])
+    norms = []
+    for c in np.array_split(a, max(1, a.shape[1] // step), axis=1):
+        e = np.frexp(np.maximum(c.max(axis=0), -c.min(axis=0)))[1]
+        b = np.ldexp(c, -e)
+        norms.append(np.ldexp(np.sqrt(np.add.reduce(np.multiply(b, b, out=b), axis=0)), e))
+    return np.concatenate(norms)
 
 
 def quasinormality_bounds(f):
     """(min, max) Euclidean column norms of F (_column_norms)."""
-    norms = _by_columns(as_matrix(f), _column_norms)
+    norms = _column_norms(as_matrix(f))
     return float(np.min(norms)), float(np.max(norms))
 
 

@@ -82,7 +82,7 @@ def parse_spectrum(text):
         if kind == "harmonic":
             return harmonic_spectrum(int(fields[0]))
         return geometric_spectrum(float(fields[0]), int(fields[1]))
-    with open(text, "r", encoding="ascii") as fh:
+    with open(text, "r", encoding="ascii", errors="replace") as fh:
         lines = itertools.islice(data_lines(fh), MAX_SPECTRUM_LENGTH + 1)
         # a one-column matrix, read _CHUNK lines at a time so the text is never held whole
         chunks = iter(lambda: list(itertools.islice(lines, _CHUNK)), [])

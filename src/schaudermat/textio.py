@@ -71,7 +71,7 @@ def read_rows(path, data, cols):
 
 
 def load_matrix(path):
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = data_lines(fh)
         lineno, line = next(lines, (None, None))
         if line is None:

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is referenced in the package, every
 public one in a package module other than __init__.py, every defaulted
-parameter is passed by some call in the package, and no class writes its
-own JSON: jsonfmt.dumps maps every report."""
+parameter is passed by some call in the package, no class writes its
+own JSON: jsonfmt.dumps maps every report, and only schauder scales by
+powers of two: its range rule decides when a pair is rescaled."""
 
 import ast
 import math
@@ -88,6 +89,25 @@ def test_checker_flags_json_writer():
 def test_no_class_writes_its_own_json():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert [name for source in sources for name in json_writers(source)] == []
+
+
+def power_of_two_names(source):
+    """The frexp and ldexp calls or references in *source*, by name."""
+    names = (getattr(node, "attr", getattr(node, "id", None))
+             for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Name, ast.Attribute)))
+    return sorted(name for name in names if name in ("frexp", "ldexp"))
+
+
+def test_checker_flags_power_of_two_scaling():
+    source = ("import math\nimport numpy as np\nfrom numpy import ldexp\n"
+              "np.frexp(x)\nldexp(x, -2)\nmath.frexp(1.0)\nnp.exp(x)\nscale = np.ldexp\n")
+    assert power_of_two_names(source) == ["frexp", "frexp", "ldexp", "ldexp"]
+
+
+def test_only_schauder_scales_by_powers_of_two():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [p.name for p in paths if power_of_two_names(p.read_text(encoding="utf-8"))] == [
+        "schauder.py"]
 
 
 def test_checker_flags_unreached_public_name():

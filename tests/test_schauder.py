@@ -12,6 +12,7 @@ import pytest
 
 from schaudermat import (
     BasisPair,
+    ConstantEstimate,
     SearchBudget,
     SingularMatrixError,
     basis_constant,
@@ -163,13 +164,38 @@ class TestPairCheck:
     """BasisPair forms F G* - I and forms G* F - I only when the bound from the first misses."""
 
     @pytest.mark.parametrize("k, bound",
-                             [(8, 2.4e-12), (10, 2.0e-11), (11, 5.7e-11), (12, 1.6e-10)])
+                             [(8, 4.9e-14), (10, 2.0e-11), (11, 5.7e-11), (12, 1.6e-10)])
     def test_blocks_are_certified_from_one_product(self, pair_products, k, bound):
-        # k = 8 forms F G* by BLAS and takes the bound's norms from the dense factors
+        # k = 8 forms F G* by BLAS, takes rho = (||R||_1 ||R||_inf)^(1/2) from the formed
+        # R = F G* - I (N max|R| gave 2.4e-12) and the bound's norms from the dense factors
         pair = olevskii_block(k, 0.8)
         assert len(pair_products) == 1 and pair_products[0][0] is pair.f
         assert _deviation(pair.f, pair.gstar)[1] == pytest.approx(bound, rel=0.05)
         assert bound < PAIR_TOL
+
+    def test_rotated_pair_is_certified_from_one_product(self, pair_products):
+        # Q diag(geomspace(1, 10, N)) with its LU inverse at N = 512: the formed R's
+        # (||R||_1 ||R||_inf)^(1/2) certifies G* F, where N max|R| would miss PAIR_TOL.
+        n = 512
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))
+        f = q * np.geomspace(1, 10, n)
+        pair = BasisPair(f=f, gstar=np.linalg.inv(f))
+        assert len(pair_products) == 1
+        dev, bound = _deviation(pair.f, pair.gstar)
+        norms = [np.linalg.norm(m, o) for o in (1, np.inf) for m in (pair.f, pair.gstar)]
+        assert bound < PAIR_TOL < n * dev / (1 - n * dev) * np.sqrt(np.prod(norms))
+
+    @pytest.mark.parametrize("e", [600, -600])
+    @pytest.mark.parametrize("k", [8, 10], ids=["blas", "sparse"])
+    def test_scaled_blocks_are_certified_from_one_product(self, pair_products, k, e):
+        # (||F||_1 ||G*||_1)^(1/2) (||F||_inf ||G*||_inf)^(1/2) keeps the bound of the
+        # unscaled block at 2^e F, 2^-e G*, where ||F||_1 ||F||_inf overflows or underflows.
+        pair = olevskii_block(k, 0.8)
+        f, g = np.ldexp(pair.f, e), np.ldexp(pair.gstar, -e)
+        pair_products.clear()
+        BasisPair(f=f, gstar=g)
+        assert len(pair_products) == 1
+        assert _deviation(f, g) == _deviation(pair.f, pair.gstar)
 
     def test_refused_by_the_formed_other_side(self, pair_products):
         # max|F G* - I| = eps but max|G* F - I| = eps t^2: the bound, about 2 eps t^2,
@@ -186,7 +212,7 @@ class TestPairCheck:
 
     def test_missed_bound_forms_the_other_side_and_accepts(self, pair_products):
         g = np.eye(3)
-        g[0, 1] = 0.9 * PAIR_TOL  # rho = 2.7e-9: the bound misses, G* F passes
+        g[0, 1:] = 0.9 * PAIR_TOL  # rho = (0.9e-9 1.8e-9)^(1/2): the bound misses, G* F passes
         BasisPair(f=np.eye(3), gstar=g)
         assert len(pair_products) == 2
 
@@ -224,7 +250,7 @@ def test_by_columns_keeps_the_reduction_order(monkeypatch, order, shape, columns
     monkeypatch.setattr(schauder, "_COLUMN_CELLS", shape[0] * columns)
     rng = np.random.default_rng(43)
     a = np.asarray(rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape), order=order)
-    assert schauder._by_columns(a, lambda c: c.sum(axis=0)).tobytes() == a.sum(axis=0).tobytes()
+    assert schauder._column_norms(a).tobytes() == np.linalg.norm(a, axis=0).tobytes()
 
 
 class TestNaturalProjection:
@@ -1112,25 +1138,63 @@ def scaled_block(e):
     return BasisPair(f=np.ldexp(pair.f, e), gstar=np.ldexp(pair.gstar, -e))
 
 
+def assert_same_estimate(got, want):
+    assert got == want and got.value.hex() == want.value.hex()
+
+
+@pytest.mark.parametrize("e", [255, -255, 300, -300, 505, -505, 600, -600, 1000, -1000])
+@pytest.mark.parametrize("pair, budget, evaluations", [
+    (scaled_block(0), SearchBudget(), 2 ** 8),
+    (rotated(np.random.default_rng(4), olevskii_block(4, 0.8)), SearchBudget(exact_cutoff=0), 1),
+    (with_dual_block(0.8), SearchBudget(exact_cutoff=0, samples=100), 311),
+], ids=["exact", "sign-witness", "search"])
+def test_constants_keep_their_bits_at_any_scale(pair, budget, evaluations, e):
+    # 2^-e F, 2^e G* has every projection of F, G*; the range rule scales an out-of-range
+    # pair back by a power of two, so value bits, witness, mode and evaluations all hold.
+    # The three pairs take full enumeration, the settled sign witness and the search.
+    scaled = BasisPair(f=np.ldexp(pair.f, -e), gstar=np.ldexp(pair.gstar, e))
+    assert_same_estimate(basis_constant(scaled), basis_constant(pair))
+    want = unconditional_constant(pair, budget)
+    assert want.evaluations == evaluations
+    assert_same_estimate(unconditional_constant(scaled, budget), want)
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: basis_constant(scaled_block(600)), lambda: basis_constant(scaled_block(0))),
+    (lambda: basis_constant(scaled_block(-600)), lambda: basis_constant(scaled_block(0))),
+    (lambda: unconditional_constant(scaled_block(600)),
+     lambda: unconditional_constant(scaled_block(0))),
+    (lambda: unconditional_constant(scaled_block(-600), SearchBudget(exact_cutoff=0)),
+     lambda: unconditional_constant(scaled_block(0), SearchBudget(exact_cutoff=0))),
+    (lambda: basis_constant(BasisPair(f=np.diag([1e200, 2.0]), gstar=np.diag([1e-200, 0.5]))),
+     lambda: ConstantEstimate(1.0, "Exact", (1,), 2)),
+    (lambda: basis_constant(BasisPair(f=np.diag([1.98 * 2.0 ** 599, 2.0 ** -422]),
+                                      gstar=np.diag([2.0 ** -599 / 1.98, 2.0 ** 422]))),
+     lambda: ConstantEstimate(1.0, "Exact", (1,), 2)),
+], ids=["basis-big", "basis-small", "exact-big", "search-small", "basis-diagonal",
+        "basis-odd-exponents"])
+def test_out_of_range_pairs_keep_their_constants(call, want):
+    # Entries above sqrt(max float / N), where F^T F or G* G*^T would overflow. The last
+    # pair's binary exponents differ by 177: halving them leaves F's entry 0.99 * 2^512 above
+    # the limit 2^511.5, and one more power of two brings both within it.
+    assert_same_estimate(call(), want())
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: BasisPair(f=np.eye(2), gstar=np.eye(3)),
      "pair must be square of equal shape, got (2, 2) and (3, 3)"),
     (lambda: weight_exponents(0), "k must be >= 1"),
-    (lambda: basis_constant(scaled_block(600)), "is out of range for F^T F and G* G*^T"),
-    (lambda: basis_constant(scaled_block(-600)), "is out of range for F^T F and G* G*^T"),
-    (lambda: unconditional_constant(scaled_block(600)), "is out of range for F^T F"),
-    (lambda: unconditional_constant(scaled_block(-600), SearchBudget(exact_cutoff=0)),
-     "is out of range for F^T F"),
-    (lambda: basis_constant(BasisPair(f=np.diag([1e200, 2.0]), gstar=np.diag([1e-200, 0.5]))),
-     "pair entry 1e+200 is out of range"),
+    (lambda: basis_constant(BasisPair(f=np.diag(np.ldexp(1.0, [600, -600])),
+                                      gstar=np.diag(np.ldexp(1.0, [-600, 600])))),
+     "pair entries 4.15e+180 of F and 4.15e+180 of G* are out of range"),
     (lambda: transform_right_diagonal(summing_counterexample(3), [1.0, np.nan, 2.0]),
      "diagonal entries must be finite and nonzero"),
     (lambda: transform_right_diagonal(summing_counterexample(3), [1.0, 1e-320, 2.0]),
      "F D or D^-1 G* overflows"),
     (lambda: transform_right_diagonal(biorthogonal_inverse(4 * np.eye(3)), [1.0, 1e308, 2.0]),
      "F D or D^-1 G* overflows"),
-], ids=["pair-shapes", "weight-level", "basis-big", "basis-small", "exact-big",
-        "search-small", "basis-diagonal", "diagonal-nan", "diagonal-subnormal", "diagonal-huge"])
+], ids=["pair-shapes", "weight-level", "basis-unbalanced", "diagonal-nan", "diagonal-subnormal",
+        "diagonal-huge"])
 def test_library_refusals(call, message):
     # a ValueError with a message, and no numpy warning (an error under this suite)
     with pytest.raises(ValueError) as info:

@@ -154,10 +154,14 @@ def test_trailing_comment_rejected(tmp_path):
     (b"2\n0.5 # half\n0.25\n", "line {}: expected 1 values, got 3"),
     (b"2\n1_0\n0.25\n", "line {}: unparsable value"),
     (b"2\n0x1p-1\n0.25\n", "line {}: unparsable value"),
-], ids=["blank", "tab-crlf", "indented-comments", "trailing-comment", "underscore", "hex-float"])
+    (b"2\n# caf\xc3\xa9\n0.5\n0.25\n", [2.0, 0.5, 0.25]),
+    (b"2\n0.5\xc3\xa9\n0.25\n", "line {}: unparsable value"),
+], ids=["blank", "tab-crlf", "indented-comments", "trailing-comment", "underscore", "hex-float",
+        "non-ascii-comment", "non-ascii-value"])
 def test_matrix_and_spectrum_files_share_the_data_line_rule(tmp_path, body, values):
     # The body as a one-column matrix under its header and as a spectrum file: both
-    # readers skip the same lines, read the same values and refuse the same lines.
+    # readers skip the same lines, read the same values and refuse the same lines. A
+    # byte outside ASCII reads as U+FFFD, never as a decoding error that names no file.
     matrix, spectrum = tmp_path / "m.mtx", tmp_path / "s.txt"
     matrix.write_bytes(b"# column\n3 1\n" + body)
     spectrum.write_bytes(body)
