@@ -187,7 +187,7 @@ def cmd_select(args):
 
 def cmd_validate_plan(args):
     spectrum = parse_spectrum(args.spectrum)
-    with open(args.plan, "r", encoding="ascii") as fh:
+    with open(args.plan, "r", encoding="utf-8") as fh:
         plan = OlevskiiPlan.from_json(json.load(fh))
     report = validate_plan(spectrum, plan)
     _emit(args, report)

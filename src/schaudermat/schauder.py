@@ -42,26 +42,26 @@ RIESZ_DIVERGENCE = 1e3
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan is not below PAIR_TOL
-def _deviation(a, b, bound=True):
-    """(max|a b - I|, a bound on max|b a - I| or, without *bound*, inf) of square *a* and *b*,
-    each tested against zero once. When the nonzero terms a[i,l] b[l,j] number at most an
-    eighth of the cells, a b - I is read off the sums of the terms that reach each cell
-    (Gustavson, ACM TOMS 4, 1978), a diagonal cell that none reaches deviating by 1;
-    otherwise a b is formed by BLAS. With R = a b - I and rho >= ||R||_2 < 1 (n max|R|, or
-    (||R||_1 ||R||_inf)^(1/2) of a formed R), b a - I = b R (I + R)^-1 a, so each entry is at
-    most ||a||_2 ||b||_2 rho / (1 - rho), and ||M||_2 <= (||M||_1 ||M||_inf)^(1/2) (Higham,
-    Accuracy and Stability, ch. 14), taken as (||a||_1 ||b||_1 ||a||_inf ||b||_inf)^(1/2) in
-    two square roots that 2^-e a, 2^e b leave unchanged."""
+def _deviation(a, b):
+    """(max|a b - I|, a bound on max|b a - I|) of square *a* and *b*, each tested against
+    zero once. When the nonzero terms a[i,l] b[l,j] number at most an eighth of the cells,
+    a b - I is read off the sums of the terms that reach each cell (Gustavson, ACM TOMS 4,
+    1978), a diagonal cell that none reaches deviating by 1; otherwise a b is formed by BLAS.
+    With R = a b - I and rho = n max|R| >= ||R||_2, b a - I = b R (I + R)^-1 a, so entry
+    (i, j) is at most ||b_i|| ||a_j|| rho / (1 - rho) for row b_i of b and column a_j of a.
+    The largest norms are the 2-norms of _column_norms after BLAS, and on the sparse path
+    ||a||_1 ||b||_inf, which bounds them, over the listed nonzeros; 2^-e a, 2^e b leave
+    either product unchanged."""
     n = a.shape[0]
     ma, mb = a.T != 0, b != 0
     nb = np.count_nonzero(mb, axis=1)
-    if dense := not 0 < 8 * (terms := int(np.count_nonzero(ma, axis=1) @ nb)) <= n * n:
+    if not 0 < 8 * (terms := int(np.count_nonzero(ma, axis=1) @ nb)) <= n * n:
         del ma, mb  # neither mask is live while a b is
         r = a @ b
         r.flat[:: n + 1] -= 1.0
         dev = float(np.max(np.abs(r, out=r)))
-        rho = np.sqrt(r.sum(axis=0).max() * r.sum(axis=1).max())
         del r
+        scale = _column_norms(a).max() * _column_norms(b.T).max()
     else:  # a's nonzeros by column, b's by row: row l of b is start[l] + range(nb[l])
         (l, i), (k, j) = (np.divmod(np.flatnonzero(m), n) for m in (ma, mb))
         del ma, mb
@@ -78,12 +78,9 @@ def _deviation(a, b, bound=True):
         diagonal = cell % (n + 1) == 0  # cell i n + j with i = j
         r[diagonal] -= 1.0
         dev = float(np.max(np.abs(r), initial=float(np.count_nonzero(diagonal) < n)))
-        rho = n * dev
-    if not bound:
-        return dev, np.inf
-    a1, a_inf, b1, b_inf = ([np.linalg.norm(m, o) for m in (a, b) for o in (1, np.inf)] if dense
-        else [np.bincount(x, abs(v)).max() for x, v in ((l, av), (i, av), (j, bv), (k, bv))])
-    return dev, (rho / (1 - rho) * np.sqrt(a1 * b1) * np.sqrt(a_inf * b_inf) if rho < 1 else np.inf)
+        scale = np.bincount(l, abs(av)).max() * np.bincount(k, abs(bv)).max()
+    rho = n * dev
+    return dev, (rho / (1 - rho) * scale if rho < 1 else np.inf)
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ class BasisPair:
         object.__setattr__(self, "gstar", g)
         dev, bound = _deviation(f, g)
         if dev < PAIR_TOL and not bound < PAIR_TOL:
-            dev, _ = _deviation(g, f, bound=False)
+            dev, _ = _deviation(g, f)
         if not dev < PAIR_TOL:  # nan when a product overflows
             raise ValueError("F*Gstar and Gstar*F must equal the identity within 1e-9; "
                              f"the largest deviation is {dev:.3g}")

@@ -452,6 +452,28 @@ def test_select_and_validate_roundtrip(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_validate_plan_reads_utf8(tmp_path, capsys):
+    # JSON text is UTF-8 (RFC 8259): a key that from_json ignores may hold any character,
+    # and a byte that is not UTF-8 is an input error, not a crash.
+    code, out = run(capsys, "select", "--spectrum", "harmonic:10000", "--alpha", "0.8",
+                    "--delta", "2", "--levels", "2")
+    assert code == 0
+    plan = json.loads(out)["plan"]
+    ascii_file, utf8_file, bad_file = (tmp_path / n for n in ("a.json", "u.json", "b.json"))
+    ascii_file.write_text(json.dumps(plan), encoding="ascii")
+    text = json.dumps(dict(plan, note="caf\u00e9"), ensure_ascii=False)
+    utf8_file.write_bytes(text.encode("utf-8"))
+    bad_file.write_bytes(text.encode("latin-1"))
+    argv = ["validate-plan", "--spectrum", "harmonic:10000", "--plan"]
+    want = run(capsys, *argv, str(ascii_file))
+    assert (want[0], json.loads(want[1])) == (0, {"ok": True, "violations": []})
+    assert run(capsys, *argv, str(utf8_file)) == want
+    assert main(argv + [str(bad_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("delta", ["1.5", "2", "10", "100"])
 @pytest.mark.parametrize("alpha", ["0.75", "0.8", "0.9"])
 def test_selected_plans_pass_validate_plan(tmp_path, capsys, alpha, delta):

@@ -2,8 +2,9 @@
 module-level private function or class is referenced in the package, every
 public one in a package module other than __init__.py, every defaulted
 parameter is passed by some call in the package, no class writes its
-own JSON: jsonfmt.dumps maps every report, and only schauder scales by
-powers of two: its range rule decides when a pair is rescaled."""
+own JSON: jsonfmt.dumps maps every report, only schauder scales by
+powers of two: its range rule decides when a pair is rescaled, and every
+text-mode open names its encoding, so that no read depends on the locale."""
 
 import ast
 import math
@@ -108,6 +109,34 @@ def test_only_schauder_scales_by_powers_of_two():
     paths = sorted(PACKAGE.glob("*.py"))
     assert [p.name for p in paths if power_of_two_names(p.read_text(encoding="utf-8"))] == [
         "schauder.py"]
+
+
+def unnamed_encodings(source):
+    """Line numbers of the open calls in *source* that pass no encoding= keyword and are
+    not binary: no mode string with "b" is passed, neither as mode= nor as the first or
+    second positional argument (Path.open takes its mode first)."""
+    lines = []
+    for call in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)):
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) != "open":
+            continue
+        modes = call.args[:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+        binary = any(isinstance(m, ast.Constant) and isinstance(m.value, str) and "b" in m.value
+                     and set(m.value) <= set("rwxabt+") for m in modes)
+        if not binary and "encoding" not in {kw.arg for kw in call.keywords}:
+            lines.append(call.lineno)
+    return lines
+
+
+def test_checker_flags_unnamed_encoding():
+    source = ('open(p)\nopen(p, "r", encoding="utf-8")\nopen(p, "wb")\n'
+              'path.open(mode="w")\nopen(p, mode="rb")\nopen(p, m)\nio.open(p, "rt")\n'
+              'path.open("rb")\nopen("lab.txt")\n')
+    assert unnamed_encodings(source) == [1, 4, 6, 7, 9]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_text_open_names_its_encoding(path):
+    assert unnamed_encodings(path.read_text(encoding="utf-8")) == []
 
 
 def test_checker_flags_unreached_public_name():

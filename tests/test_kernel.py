@@ -304,7 +304,8 @@ class TestProduct:
     @pytest.mark.parametrize("k", [10, 11, None],
                              ids=["block-10", "block-11", "empty-row-and-column"])
     def test_sparse_norms_match_numpy(self, monkeypatch, term_sums, k):
-        # ||a||_1, ||a||_inf, ||b||_1 and ||b||_inf, each summed over the listed nonzeros
+        # ||a||_1 and ||b||_inf, the bound's largest column sum of |a| and row sum of |b|,
+        # each summed over the listed nonzeros
         if k is None:
             a, b = sparse_pair_with_an_empty_row_and_column()
         else:
@@ -314,9 +315,10 @@ class TestProduct:
         norms, bincount = [], np.bincount
         monkeypatch.setattr(np, "bincount", lambda *args: norms.append(bincount(*args)) or norms[-1])
         _deviation(a, b)
-        assert len(term_sums) == 1
-        want = [np.linalg.norm(m, o) for m in (a, b) for o in (1, np.inf)]
-        assert [s.max() for s in norms] == pytest.approx(want, rel=a.shape[0] * np.finfo(float).eps)
+        assert len(term_sums) == 1 and len(norms) == 2
+        want = [np.linalg.norm(a, 1), np.linalg.norm(b, np.inf)]
+        rel = a.shape[0] * np.finfo(float).eps
+        assert [s.max() for s in norms] == pytest.approx(want, rel=rel, abs=0)
 
     def test_unreached_diagonal_cell_deviates_by_one(self, term_sums):
         a = np.eye(16)

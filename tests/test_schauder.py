@@ -151,12 +151,38 @@ class TestBiorthogonalInverse:
         assert pair.f.dtype == np.float64 and pair.gstar.dtype == np.float64
 
 
+def scaled_block(k, e):
+    """(2^e F, 2^-e G*) of olevskii_block(k, 0.8)."""
+    pair = olevskii_block(k, 0.8)
+    return np.ldexp(pair.f, e), np.ldexp(pair.gstar, -e)
+
+
+def sheared_pair(eps, t):
+    """A 2 x 2 pair with max|F G* - I| = eps and max|G* F - I| = eps t^2."""
+    f = np.array([[1.0, t], [0.0, 1.0]])
+    return f, np.array([[1.0, -t], [0.0, 1.0]]) + eps * np.array([[-t, 0.0], [1.0, 0.0]])
+
+
+def rotated_pair(n):
+    """Q diag(geomspace(1, 10, n)) with its LU inverse, Q from default_rng(5)."""
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))
+    f = q * np.geomspace(1, 10, n)
+    return f, np.linalg.inv(f)
+
+
+def conditioned_pair(n, kappa, seed):
+    """Q1 diag(geomspace(1, 1/kappa, n)) Q2 with its LU inverse."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    f = q1 * np.geomspace(1, 1 / kappa, n) @ q2
+    return f, np.linalg.inv(f)
+
+
 @pytest.fixture
 def pair_products(monkeypatch):
     """The (left, right) factors of each product whose deviation the pair check takes."""
     calls, deviation = [], schauder._deviation
-    monkeypatch.setattr(schauder, "_deviation",
-                        lambda a, b, **kw: calls.append((a, b)) or deviation(a, b, **kw))
+    monkeypatch.setattr(schauder, "_deviation", lambda a, b: calls.append((a, b)) or deviation(a, b))
     return calls
 
 
@@ -164,32 +190,35 @@ class TestPairCheck:
     """BasisPair forms F G* - I and forms G* F - I only when the bound from the first misses."""
 
     @pytest.mark.parametrize("k, bound",
-                             [(8, 4.9e-14), (10, 2.0e-11), (11, 5.7e-11), (12, 1.6e-10)])
+                             [(8, 7.0e-14), (10, 1.7e-12), (11, 3.5e-12), (12, 7.2e-12)])
     def test_blocks_are_certified_from_one_product(self, pair_products, k, bound):
-        # k = 8 forms F G* by BLAS, takes rho = (||R||_1 ||R||_inf)^(1/2) from the formed
-        # R = F G* - I (N max|R| gave 2.4e-12) and the bound's norms from the dense factors
+        # rho = N max|R| of R = F G* - I; k = 8 forms F G* by BLAS and takes the largest
+        # column 2-norm of F times the largest row 2-norm of G*, the sparse blocks take
+        # ||F||_1 ||G*||_inf over their nonzeros.
         pair = olevskii_block(k, 0.8)
         assert len(pair_products) == 1 and pair_products[0][0] is pair.f
-        assert _deviation(pair.f, pair.gstar)[1] == pytest.approx(bound, rel=0.05)
+        assert _deviation(pair.f, pair.gstar)[1] == pytest.approx(bound, rel=0.05, abs=0)
         assert bound < PAIR_TOL
 
     def test_rotated_pair_is_certified_from_one_product(self, pair_products):
-        # Q diag(geomspace(1, 10, N)) with its LU inverse at N = 512: the formed R's
-        # (||R||_1 ||R||_inf)^(1/2) certifies G* F, where N max|R| would miss PAIR_TOL.
-        n = 512
-        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))
-        f = q * np.geomspace(1, 10, n)
-        pair = BasisPair(f=f, gstar=np.linalg.inv(f))
-        assert len(pair_products) == 1
-        dev, bound = _deviation(pair.f, pair.gstar)
-        norms = [np.linalg.norm(m, o) for o in (1, np.inf) for m in (pair.f, pair.gstar)]
-        assert bound < PAIR_TOL < n * dev / (1 - n * dev) * np.sqrt(np.prod(norms))
+        # Q diag(geomspace(1, 10, N)) with its LU inverse at N = 512 and 1024: the largest
+        # column norm of F times the largest row norm of G* certifies G* F, where
+        # (||F||_1 ||G*||_1 ||F||_inf ||G*||_inf)^(1/2) would miss PAIR_TOL.
+        for n in (512, 1024):
+            f, g = rotated_pair(n)
+            pair_products.clear()
+            pair = BasisPair(f=f, gstar=g)
+            assert len(pair_products) == 1
+            dev, bound = _deviation(pair.f, pair.gstar)
+            norms = [np.linalg.norm(m, o) for o in (1, np.inf) for m in (pair.f, pair.gstar)]
+            assert bound < PAIR_TOL < n * dev / (1 - n * dev) * np.sqrt(np.prod(norms))
 
     @pytest.mark.parametrize("e", [600, -600])
     @pytest.mark.parametrize("k", [8, 10], ids=["blas", "sparse"])
     def test_scaled_blocks_are_certified_from_one_product(self, pair_products, k, e):
-        # (||F||_1 ||G*||_1)^(1/2) (||F||_inf ||G*||_inf)^(1/2) keeps the bound of the
-        # unscaled block at 2^e F, 2^-e G*, where ||F||_1 ||F||_inf overflows or underflows.
+        # N max|R| and the product of F's and G*'s largest norms (a column of F, a row of
+        # G*) keep the bound of the unscaled block at 2^e F, 2^-e G*, where ||F||^2 would
+        # overflow or underflow.
         pair = olevskii_block(k, 0.8)
         f, g = np.ldexp(pair.f, e), np.ldexp(pair.gstar, -e)
         pair_products.clear()
@@ -197,12 +226,25 @@ class TestPairCheck:
         assert len(pair_products) == 1
         assert _deviation(f, g) == _deviation(pair.f, pair.gstar)
 
+    @pytest.mark.parametrize("make, args", [
+        *((scaled_block, (k, 0)) for k in (5, 8, 10)),
+        *((rotated_pair, (n,)) for n in (64, 512)),
+        *((scaled_block, (k, e)) for k in (8, 10) for e in (600, -600)),
+        (sheared_pair, (1e-12, 1e3)),
+        *((conditioned_pair, (24, 1e6, seed)) for seed in range(3)),
+    ], ids=["block-5", "block-8", "block-10", "rotated-64", "rotated-512", "block-8-2^600",
+            "block-8-2^-600", "block-10-2^600", "block-10-2^-600", "sheared-1e3",
+            "kappa-1e6-0", "kappa-1e6-1", "kappa-1e6-2"])
+    def test_bound_covers_the_other_side(self, make, args):
+        a, b = make(*args)
+        for x, y in ((a, b), (b, a)):
+            assert _deviation(x, y)[1] >= np.abs(y @ x - np.eye(x.shape[0])).max()
+
     def test_refused_by_the_formed_other_side(self, pair_products):
         # max|F G* - I| = eps but max|G* F - I| = eps t^2: the bound, about 2 eps t^2,
         # misses PAIR_TOL, so G* F is formed and its deviation is named.
         eps, t = 1e-12, 1e3
-        f = np.array([[1.0, t], [0.0, 1.0]])
-        g = np.array([[1.0, -t], [0.0, 1.0]]) + eps * np.array([[-t, 0.0], [1.0, 0.0]])
+        f, g = sheared_pair(eps, t)
         assert np.abs(f @ g - np.eye(2)).max() == pytest.approx(eps, rel=1e-3)
         with pytest.raises(ValueError) as info:
             BasisPair(f=f, gstar=g)
@@ -212,7 +254,7 @@ class TestPairCheck:
 
     def test_missed_bound_forms_the_other_side_and_accepts(self, pair_products):
         g = np.eye(3)
-        g[0, 1:] = 0.9 * PAIR_TOL  # rho = (0.9e-9 1.8e-9)^(1/2): the bound misses, G* F passes
+        g[0, 1:] = 0.9 * PAIR_TOL  # rho = 3 * 0.9e-9: the bound misses, G* F passes
         BasisPair(f=np.eye(3), gstar=g)
         assert len(pair_products) == 2
 
