@@ -6,13 +6,9 @@ procedures, and certifies at desk scale that diagonal operators such as
 diag(1, 1/2, 1/3, ...) map an orthonormal basis into a conditional basis.
 """
 
-from .errors import (
-    InsufficientCardinalityError,
-    PlanValidationError,
-    SingularMatrixError,
-)
 from .kernel import (
     PolarFactors,
+    SingularMatrixError,
     condition_number,
     invert,
     polar_decompose,
@@ -21,10 +17,12 @@ from .olevskii import (
     ConditionalModel,
     OlevskiiPlan,
     PlanValidation,
+    PlanValidationError,
     haar_matrix,
     keylemma_assemble,
     olevskii_block,
     rank1_conjugation_witness,
+    summing_counterexample,
     validate_plan,
     weight_vector,
 )
@@ -37,7 +35,6 @@ from .schauder import (
     biorthogonal_inverse,
     quasinormality_bounds,
     riesz_diagnostic,
-    summing_counterexample,
     transform_left,
     transform_right_diagonal,
     transform_right_permutation,
@@ -45,6 +42,7 @@ from .schauder import (
 )
 from .selection import (
     HarmonicDemoReport,
+    InsufficientCardinalityError,
     RatioLimitReport,
     SelectionResult,
     SpectrumSequence,

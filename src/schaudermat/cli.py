@@ -13,13 +13,14 @@ import sys
 import numpy as np
 
 from . import jsonfmt
-from .errors import InsufficientCardinalityError, PlanValidationError
 from .kernel import condition_number, polar_decompose
 from .olevskii import (
     OlevskiiPlan,
+    PlanValidationError,
     haar_matrix,
     olevskii_block,
     rank1_conjugation_witness,
+    summing_counterexample,
     validate_plan,
     weight_vector,
 )
@@ -29,13 +30,13 @@ from .schauder import (
     biorthogonal_inverse,
     quasinormality_bounds,
     riesz_diagnostic,
-    summing_counterexample,
     transform_left,
     transform_right_diagonal,
     transform_right_permutation,
     unconditional_constant,
 )
 from .selection import (
+    InsufficientCardinalityError,
     cardinality_profile,
     harmonic_demo,
     parse_spectrum,
@@ -65,11 +66,11 @@ def _emit(args, payload, csv_rows=None):
         sys.stdout.write(text)
 
 
-def _floats(text):
+def float_list(text):
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _ints(text):
+def int_list(text):
     return [int(x) for x in text.split(",") if x.strip()]
 
 
@@ -135,7 +136,7 @@ def cmd_dual_constants(args):
 
 
 def cmd_riesz(args):
-    report = riesz_diagnostic(load_matrix(args.matrix), _ints(args.sections))
+    report = riesz_diagnostic(load_matrix(args.matrix), args.sections)
     rows = list(zip(report.section_sizes, report.condition_numbers))
     _emit(args, report, csv_rows=(["section", "conditionNumber"], rows))
     return EXIT_OK
@@ -155,9 +156,9 @@ def cmd_transform(args):
     if args.left:
         pair = transform_left(load_matrix(args.left), pair)
     if args.diag:
-        pair = transform_right_diagonal(pair, _floats(args.diag))
+        pair = transform_right_diagonal(pair, args.diag)
     if args.perm:
-        pair = transform_right_permutation(pair, _ints(args.perm))
+        pair = transform_right_permutation(pair, args.perm)
     save_matrix(args.out_f, pair.f)
     save_matrix(args.out_gstar, pair.gstar)
     return EXIT_OK
@@ -171,10 +172,9 @@ def cmd_lp_witness(args):
 
 def cmd_profile(args):
     spectrum = parse_spectrum(args.spectrum)
-    ts = _floats(args.ts)
-    counts = cardinality_profile(spectrum, args.delta, ts)
-    payload = {"delta": args.delta, "ts": ts, "counts": counts}
-    _emit(args, payload, csv_rows=(["t", "count"], list(zip(ts, counts))))
+    counts = cardinality_profile(spectrum, args.delta, args.ts)
+    payload = {"delta": args.delta, "ts": args.ts, "counts": counts}
+    _emit(args, payload, csv_rows=(["t", "count"], list(zip(args.ts, counts))))
     return EXIT_OK
 
 
@@ -195,7 +195,7 @@ def cmd_validate_plan(args):
 
 
 def cmd_cut(args):
-    grid = segment_cut(_floats(args.mu), args.max_ratio)
+    grid = segment_cut(args.mu, args.max_ratio)
     _emit(args, {"grid": grid}, csv_rows=(["point"], [(g,) for g in grid]))
     return EXIT_OK
 
@@ -270,7 +270,7 @@ def build_parser():
 
     p = sub.add_parser("riesz", help="condition numbers of leading sections")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--sections", required=True, help="comma-separated sizes")
+    p.add_argument("--sections", type=int_list, required=True, help="comma-separated sizes")
     _add_report_flags(p, csv=True)
     p.set_defaults(func=cmd_riesz)
 
@@ -283,8 +283,8 @@ def build_parser():
     p = sub.add_parser("transform", help="apply basis-preserving transforms")
     p.add_argument("--matrix", required=True)
     p.add_argument("--left", default=None, help="matrix file for left multiplication")
-    p.add_argument("--diag", default=None, help="comma-separated diagonal")
-    p.add_argument("--perm", default=None, help="comma-separated 1-based permutation")
+    p.add_argument("--diag", type=float_list, help="comma-separated diagonal")
+    p.add_argument("--perm", type=int_list, help="comma-separated 1-based permutation")
     p.add_argument("--out-f", required=True)
     p.add_argument("--out-gstar", required=True)
     p.set_defaults(func=cmd_transform)
@@ -299,7 +299,7 @@ def build_parser():
     p = sub.add_parser("profile", help="window cardinalities of a spectrum")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--ts", required=True, help="comma-separated window tops")
+    p.add_argument("--ts", type=float_list, required=True, help="comma-separated window tops")
     _add_report_flags(p, csv=True)
     p.set_defaults(func=cmd_profile)
 
@@ -318,7 +318,7 @@ def build_parser():
     p.set_defaults(func=cmd_validate_plan)
 
     p = sub.add_parser("cut", help="refine a decreasing grid to a ratio bound")
-    p.add_argument("--mu", required=True, help="comma-separated decreasing grid")
+    p.add_argument("--mu", type=float_list, required=True, help="comma-separated decreasing grid")
     p.add_argument("--max-ratio", type=float, required=True)
     _add_report_flags(p, csv=True)
     p.set_defaults(func=cmd_cut)
@@ -357,7 +357,7 @@ def main(argv=None):
     except (PlanValidationError, InsufficientCardinalityError) as exc:
         sys.stderr.write(f"validation failure: {exc}\n")
         return EXIT_VALIDATION
-    except (IOError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError
-
 # Relative threshold below which a matrix counts as singular.
 SINGULAR_RTOL = 1e-12
 # Relative threshold below which the condition number is reported as infinite.
@@ -30,18 +28,25 @@ def as_matrix(m):
     return a
 
 
+class SingularMatrixError(ValueError):
+    """Matrix is singular to working precision (sigma_min < SINGULAR_RTOL * sigma_max)."""
+
+
 def _require_square(a):
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
 
 
 def invert(m):
-    """Inverse of a square matrix; raises SingularMatrixError near singularity."""
+    """Inverse of a square matrix; SingularMatrixError near singularity, ValueError on overflow."""
     a = as_matrix(m)
     if (kappa := condition_number(a)) > 1 / SINGULAR_RTOL:
         raise SingularMatrixError(
             f"matrix is singular to working precision (sigma_min/sigma_max = {1 / kappa:.3e})")
-    return np.linalg.inv(a)
+    inverse = np.linalg.inv(a)
+    if not (np.isfinite(inverse.min()) and np.isfinite(inverse.max())):  # nan reaches both
+        raise ValueError("the inverse of the matrix is out of range: an entry overflows")
+    return inverse
 
 
 def _as_matrix_or_diagonal(m):

@@ -1,11 +1,11 @@
 """Concrete conditional-basis generators.
 
 Builds the Haar-type orthogonal matrices A_k, the diagonals of the weight
-matrices T_(k,alpha), their product blocks T_(k,alpha) A_k^T, and the key-lemma
-assembly that turns a diagonal operator with a suitable spectrum plan into a
-model mapping an orthonormal basis into a conditional basis. Also provides
-the rank-1 conjugation witnesses showing that non-invertible operators can
-blow up natural projections.
+matrices T_(k,alpha), their product blocks T_(k,alpha) A_k^T, the summing
+counterexample, and the key-lemma assembly that turns a diagonal operator with
+a suitable spectrum plan into a model mapping an orthonormal basis into a
+conditional basis. Also provides the rank-1 conjugation witnesses showing that
+non-invertible operators can blow up natural projections.
 """
 
 import math
@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlanValidationError
-from .schauder import HAAR_MAX_LEVEL, BasisPair
+from .schauder import BasisPair
+
+# Largest Haar level k; 2^k = 4096 also bounds every other generated section.
+HAAR_MAX_LEVEL = 12
 
 ALPHA_LOW = 1.0 / math.sqrt(2.0)
 # rank1_conjugation_witness certifies its norm to this absolute slack.
@@ -80,6 +82,22 @@ def olevskii_block(k, alpha):
     return BasisPair(f=f, gstar=a)
 
 
+def summing_counterexample(n):
+    """The upper-bidiagonal section whose inverse has non-l2 rows.
+
+    F has 1 in the top-left corner, 1 on the superdiagonal and -1 on the rest
+    of the diagonal; Gstar is the matching upper-triangular inverse. Both are
+    integer matrices and exact inverses of each other.
+    """
+    if not 1 <= n <= 2 ** HAAR_MAX_LEVEL:
+        raise ValueError(f"n must lie in 1..{2 ** HAAR_MAX_LEVEL}, got {n}")
+    f = np.eye(n, k=1) - np.eye(n)
+    f[0, 0] = 1.0
+    gstar = np.triu(-np.ones((n, n)))
+    gstar[0] = 1.0
+    return BasisPair(f=f, gstar=gstar)
+
+
 @dataclass(frozen=True)
 class OlevskiiPlan:
     """Level parameters driving the key-lemma assembly.
@@ -136,6 +154,14 @@ class OlevskiiPlan:
 class PlanValidation:
     ok: bool
     violations: tuple
+
+
+class PlanValidationError(ValueError):
+    """A construction plan failed validation; carries the offending report."""
+
+    def __init__(self, report):
+        self.report = report
+        super().__init__("invalid plan:\n" + "\n".join(report.violations))
 
 
 # Cap on sup_k d_k/c_k (condition (a)), and the relative slack of the (a) and (b) bounds.
@@ -265,21 +291,20 @@ def rank1_conjugation_witness(lambda1, lambda2, delta=0.0):
     admissible endpoints) and e = (e1 + e2)/sqrt(2), P = e e^T, the value
     ||A P A^{-1}|| = ||Ae|| ||A^{-1}e|| is returned together with the bound
     lambda2/(2 sqrt(2) lambda1); the value is certified >= bound - WITNESS_TOL,
-    and a delta for which it is not raises ValueError.
+    and a delta for which it is not, or an overflowing a2/a1, raises ValueError.
     """
     if not 0 < lambda1 <= lambda2 < math.inf:  # NaN fails too
         raise ValueError(f"need 0 < lambda1 <= lambda2 < inf, got {lambda1}, {lambda2}")
     if not (delta == 0 or 0 < delta < (lambda2 - lambda1) / 2):  # NaN fails too
         raise ValueError(f"delta must be 0 or lie in (0, (lambda2 - lambda1)/2), got {delta}")
-    a1 = lambda1 + delta
-    a2 = lambda2 - delta
+    # With A = diag(a1, a2), ||Ae|| ||A^-1 e|| = (a1^2 + a2^2)/(2 a1 a2) = (r + 1/r)/2, r = a2/a1.
+    if not (r := (lambda2 - delta) / (lambda1 + delta)) < math.inf:
+        raise ValueError(f"(lambda2 - delta)/(lambda1 + delta) overflows, got {lambda1}, {lambda2}")
     e = np.array([1.0, 1.0]) / math.sqrt(2.0)
     p = np.outer(e, e)
-    norm_value = math.sqrt((a1 ** 2 + a2 ** 2) / 2.0) * math.sqrt(
-        (a1 ** -2 + a2 ** -2) / 2.0
-    )
+    norm_value = (r + 1 / r) / 2
     bound = lambda2 / (2.0 * math.sqrt(2.0) * lambda1)
-    if norm_value < bound - WITNESS_TOL:  # a large delta brings a2 / a1 towards 1
+    if norm_value < bound - WITNESS_TOL:  # a large delta brings r towards 1
         raise ValueError(f"witness norm {norm_value} falls below the bound {bound}: "
                          "delta is too large for this spectrum")
     return p, norm_value, bound

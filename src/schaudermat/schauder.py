@@ -29,9 +29,6 @@ _BATCH = 2048
 # Most values per array that _masked_norms gathers (8 MiB of float64).
 _GATHERED = 2 ** 20
 
-# Largest Haar level k; 2^k = 4096 also bounds every other generated section.
-HAAR_MAX_LEVEL = 12
-
 # Cells per chunk of whole columns whose norms _column_norms takes at once.
 _COLUMN_CELLS = 2 ** 16
 
@@ -412,22 +409,6 @@ def riesz_diagnostic(f, section_sizes):
     return RieszReport(
         section_sizes=tuple(sizes), condition_numbers=tuple(conds), verdict=verdict
     )
-
-
-def summing_counterexample(n):
-    """The upper-bidiagonal section whose inverse has non-l2 rows.
-
-    F has 1 in the top-left corner, 1 on the superdiagonal and -1 on the rest
-    of the diagonal; Gstar is the matching upper-triangular inverse. Both are
-    integer matrices and exact inverses of each other.
-    """
-    if not 1 <= n <= 2 ** HAAR_MAX_LEVEL:
-        raise ValueError(f"n must lie in 1..{2 ** HAAR_MAX_LEVEL}, got {n}")
-    f = np.eye(n, k=1) - np.eye(n)
-    f[0, 0] = 1.0
-    gstar = np.triu(-np.ones((n, n)))
-    gstar[0] = 1.0
-    return BasisPair(f=f, gstar=gstar)
 
 
 def transform_left(x, pair):

@@ -8,13 +8,11 @@ diagonal operator diag(1, 1/2, 1/3, ...).
 """
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientCardinalityError
 from .olevskii import (RATIO_BOUND, OlevskiiPlan, _check_alpha, haar_matrix,
                        keylemma_assemble, validate_plan, weight_exponents)
 from .schauder import (
@@ -25,7 +23,7 @@ from .schauder import (
     riesz_diagnostic,
     unconditional_constant,
 )
-from .textio import data_lines, read_rows
+from .textio import load_values
 
 
 @dataclass(frozen=True)
@@ -48,8 +46,6 @@ class SpectrumSequence:
 
 # Most values a generated spectrum (80 MB of float64) or a refined grid may hold.
 MAX_SPECTRUM_LENGTH = 10 ** 7
-# Data lines of a spectrum file parsed per numpy call.
-_CHUNK = 2 ** 16
 
 
 def _capped(n, what):
@@ -74,19 +70,17 @@ def geometric_spectrum(r, n):
 
 def parse_spectrum(text):
     """Parse "harmonic:N", "geometric:r:N" or load one value per data line from a file,
-    each parsed as a matrix file's values are (textio.read_rows)."""
+    each parsed as a matrix file's values are (textio.load_values)."""
     kind, *fields = text.split(":")
     if text.startswith(("harmonic:", "geometric:")):
-        if len(fields) != (1 if kind == "harmonic" else 2):
-            raise ValueError(f"spectrum {text!r} must read harmonic:N or geometric:r:N")
-        if kind == "harmonic":
-            return harmonic_spectrum(int(fields[0]))
-        return geometric_spectrum(float(fields[0]), int(fields[1]))
-    with open(text, "r", encoding="ascii", errors="replace") as fh:
-        lines = itertools.islice(data_lines(fh), MAX_SPECTRUM_LENGTH + 1)
-        # a one-column matrix, read _CHUNK lines at a time so the text is never held whole
-        chunks = iter(lambda: list(itertools.islice(lines, _CHUNK)), [])
-        vals = np.concatenate([np.empty(0)] + [read_rows(text, c, 1)[:, 0] for c in chunks])
+        try:
+            if len(fields) != (1 if kind == "harmonic" else 2):
+                raise ValueError
+            n, r = int(fields[-1]), float(fields[0])
+        except ValueError:
+            raise ValueError(f"spectrum {text!r} must read harmonic:N or geometric:r:N") from None
+        return harmonic_spectrum(n) if kind == "harmonic" else geometric_spectrum(r, n)
+    vals = load_values(text, MAX_SPECTRUM_LENGTH + 1)
     _capped(vals.size, "spectrum file values read")
     return SpectrumSequence(vals)
 
@@ -110,6 +104,22 @@ def cardinality_profile(spectrum, delta, ts):
         a, b = _window(spectrum.values, t, delta)
         counts.append(b - a)
     return counts
+
+
+class InsufficientCardinalityError(RuntimeError):
+    """A spectral window does not hold enough unused values for the selection."""
+
+    def __init__(self, level, exponent, window, needed, available):
+        self.level = level
+        self.exponent = exponent
+        self.window = window
+        self.needed = needed
+        self.available = available
+        super().__init__(
+            f"level {level}: window [{window[0]:.6g}, {window[1]:.6g}] "
+            f"(exponent {exponent}) holds {available} unused values, "
+            f"{needed} required"
+        )
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,7 @@ REFUSAL_INPUTS = {
     "zero.mtx": "0 2\n",
     "comments.mtx": "# a comment\n\n",
     "empty.txt": "# a comment\n",
+    "tiny.mtx": np.diag([1e-320] * 4),  # kappa = 1, but 1/1e-320 is past the largest float
 }
 
 
@@ -250,6 +251,11 @@ REFUSAL_INPUTS = {
     # invert accepts kappa up to 1e12, but the pair check refuses from about kappa = 1e7
     (["constants", "--matrix", "kappa1e9.mtx"],
      "F*Gstar and Gstar*F must equal the identity within 1e-9; the largest deviation is "),
+    (["constants", "--matrix", "tiny.mtx"], "the inverse of the matrix is out of range"),
+    (["transform", "--matrix", "h2.mtx", "--left", "tiny.mtx", "--out-f", "f.mtx",
+      "--out-gstar", "g.mtx"], "the inverse of the matrix is out of range"),
+    (["lp-witness", "--lambda1", "1e-300", "--lambda2", "1e300"],
+     "(lambda2 - delta)/(lambda1 + delta) overflows, got 1e-300, 1e+300"),
 ], ids=["counterexample", "profile", "cut-length", "cut-inf", "cut-nan", "profile-t-nan",
         "profile-t-inf", "profile-delta-inf", "select-delta-inf", "demo-delta-nan",
         "select-delta-100.5", "select-delta-200", "demo-delta-100.5", "demo-delta-200",
@@ -257,7 +263,8 @@ REFUSAL_INPUTS = {
         "transform-diag-overflow", "transform-diag-nan", "transform-diag-inf",
         "transform-diag-length", "riesz-sections-order", "condition-not-square",
         "header-three-fields", "header-not-integer", "header-zero-rows", "no-header",
-        "geometric-ratio", "empty-spectrum-file", "constants-pair-tolerance"])
+        "geometric-ratio", "empty-spectrum-file", "constants-pair-tolerance",
+        "constants-inverse-overflow", "transform-left-inverse-overflow", "lp-ratio-overflow"])
 def test_sizes_above_limit_exit_code(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     inputs = sorted(name for name in REFUSAL_INPUTS if name in argv)
@@ -407,6 +414,36 @@ def test_lp_witness_command(capsys):
     payload = json.loads(out)
     assert payload["normValue"] == pytest.approx(math.sqrt(0.505 * 50.5))
     assert payload["bound"] == pytest.approx(10.0 / (2.0 * math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("lambda1, lambda2", [("1", "1e200"), ("1e-200", "1")])
+def test_lp_witness_endpoints_whose_squares_overflow(capsys, lambda1, lambda2):
+    code, out = run(capsys, "lp-witness", "--lambda1", lambda1, "--lambda2", lambda2)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["normValue"] == pytest.approx(5e199, rel=1e-15)
+    assert payload["bound"] == pytest.approx(1e200 / (2.0 * math.sqrt(2.0)), rel=1e-15)
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["riesz", "--matrix", "m.mtx", "--sections", "1,x"], "--sections", "1,x"),
+    (["transform", "--matrix", "m.mtx", "--perm", "1,x", "--out-f", "f.mtx",
+      "--out-gstar", "g.mtx"], "--perm", "1,x"),
+    (["transform", "--matrix", "m.mtx", "--diag", "1,2y", "--out-f", "f.mtx",
+      "--out-gstar", "g.mtx"], "--diag", "1,2y"),
+    (["cut", "--mu", "1,0.5x", "--max-ratio", "2"], "--mu", "1,0.5x"),
+    (["profile", "--spectrum", "s.txt", "--delta", "2", "--ts", "0.1,t"], "--ts", "0.1,t"),
+], ids=["riesz-sections", "transform-perm", "transform-diag", "cut-mu", "profile-ts"])
+def test_malformed_list_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, option, value):
+    # No input file exists: the option is refused before any file is read or written.
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: argument {option}: invalid " in captured.err
+    assert repr(value) in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_profile_command(capsys):
@@ -773,6 +810,7 @@ def test_entry_point_exit_codes(tmp_path):
     cases = [
         (["condition", "--matrix", str(tmp_path / "m.mtx")], 0),
         (["lp-witness", "--lambda1", "0.1", "--lambda2", "10", "--delta", "4.9"], 1),
+        (["lp-witness", "--lambda1", "1e-300", "--lambda2", "1e300"], 1),
         (["ratio-check", "--spectrum", "harmonic:100", "--tail", "1"], 1),
         (["select", "--spectrum", "geometric:0.5:100", "--alpha", "0.8", "--delta", "2",
           "--levels", "3"], 2),

@@ -3,8 +3,10 @@ module-level private function or class is referenced in the package, every
 public one in a package module other than __init__.py, every defaulted
 parameter is passed by some call in the package, no class writes its
 own JSON: jsonfmt.dumps maps every report, only schauder scales by
-powers of two: its range rule decides when a pair is rescaled, and every
-text-mode open names its encoding, so that no read depends on the locale."""
+powers of two: its range rule decides when a pair is rescaled, only textio
+decodes data files: its line and value rules read matrix and spectrum files
+alike, and every text-mode open names its encoding, so that no read depends
+on the locale."""
 
 import ast
 import math
@@ -109,6 +111,34 @@ def test_only_schauder_scales_by_powers_of_two():
     paths = sorted(PACKAGE.glob("*.py"))
     assert [p.name for p in paths if power_of_two_names(p.read_text(encoding="utf-8"))] == [
         "schauder.py"]
+
+
+def data_file_decoders(source):
+    """The open calls with an errors= keyword and the loadtxt calls or references in
+    *source*, by name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if name == "loadtxt" and isinstance(node, (ast.Name, ast.Attribute)):
+            names.append(name)
+        elif isinstance(node, ast.Call) and "errors" in {kw.arg for kw in node.keywords}:
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == "open":
+                names.append("open")
+    return sorted(names)
+
+
+def test_checker_flags_data_file_decoder():
+    source = ('import numpy as np\nopen(p, "r", encoding="ascii", errors="replace")\n'
+              'open(p, "r", encoding="utf-8")\nnp.loadtxt(lines)\nread = np.loadtxt\n'
+              'path.open(errors="strict")\nnp.genfromtxt(lines)\ns.encode(errors="replace")\n')
+    assert data_file_decoders(source) == ["loadtxt", "loadtxt", "open", "open"]
+
+
+def test_only_textio_decodes_data_files():
+    found = {p.name: data_file_decoders(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: set(names) for name, names in found.items() if names} == {
+        "textio.py": {"loadtxt", "open"}}
 
 
 def unnamed_encodings(source):

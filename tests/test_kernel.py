@@ -46,6 +46,13 @@ class TestInvert:
         with pytest.raises(SingularMatrixError):
             invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    @pytest.mark.parametrize("m", [np.diag([1e-320, 1e-320]), [[0.0, 1e-310], [1e-310, 0.0]]],
+                             ids=["diagonal", "antidiagonal"])
+    def test_inverse_out_of_range_raises(self, m):
+        # kappa = 1, but 1/1e-320 and 1/1e-310 are past the largest float
+        with pytest.raises(ValueError, match="the inverse of the matrix is out of range"):
+            invert(m)
+
     def test_roundtrip_random(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

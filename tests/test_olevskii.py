@@ -396,6 +396,16 @@ class TestRank1Witness:
         with pytest.raises(ValueError):
             rank1_conjugation_witness(1.0, 2.0, 0.6)
 
+    @pytest.mark.parametrize("lambda1, lambda2", [(1.0, 1e200), (1e-200, 1.0)])
+    def test_endpoints_whose_squares_overflow(self, lambda1, lambda2):
+        # ||Ae|| ||A^-1 e|| = (r + 1/r)/2 with r = 1e200, though r^2 is past the float range
+        _, value, bound = rank1_conjugation_witness(lambda1, lambda2)
+        assert value == pytest.approx(5e199, rel=1e-15) and value >= bound
+
+    def test_ratio_out_of_range(self):
+        with pytest.raises(ValueError, match=r"overflows, got 1e-300, 1e\+300"):
+            rank1_conjugation_witness(1e-300, 1e300)
+
     def test_admitted_delta_below_the_bound(self):
         # delta = 4.9 < (10 - 0.1)/2 is admitted, but r = (10 - 4.9)/(0.1 + 4.9) = 1.02
         # gives the value (r + 1/r)/2 = 1.000196, far below the bound 35.355.

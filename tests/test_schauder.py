@@ -151,7 +151,7 @@ class TestBiorthogonalInverse:
         assert pair.f.dtype == np.float64 and pair.gstar.dtype == np.float64
 
 
-def scaled_block(k, e):
+def scaled_block_factors(k, e):
     """(2^e F, 2^-e G*) of olevskii_block(k, 0.8)."""
     pair = olevskii_block(k, 0.8)
     return np.ldexp(pair.f, e), np.ldexp(pair.gstar, -e)
@@ -227,9 +227,9 @@ class TestPairCheck:
         assert _deviation(f, g) == _deviation(pair.f, pair.gstar)
 
     @pytest.mark.parametrize("make, args", [
-        *((scaled_block, (k, 0)) for k in (5, 8, 10)),
+        *((scaled_block_factors, (k, 0)) for k in (5, 8, 10)),
         *((rotated_pair, (n,)) for n in (64, 512)),
-        *((scaled_block, (k, e)) for k in (8, 10) for e in (600, -600)),
+        *((scaled_block_factors, (k, e)) for k in (8, 10) for e in (600, -600)),
         (sheared_pair, (1e-12, 1e3)),
         *((conditioned_pair, (24, 1e6, seed)) for seed in range(3)),
     ], ids=["block-5", "block-8", "block-10", "rotated-64", "rotated-512", "block-8-2^600",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import schaudermat.selection
+import schaudermat.textio
 
 from schaudermat import (
     InsufficientCardinalityError,
@@ -104,6 +105,13 @@ class TestSpectrumSequence:
         with pytest.raises(ValueError, match="must read harmonic:N or geometric:r:N"):
             parse_spectrum(text)
 
+    @pytest.mark.parametrize("text", ["harmonic:1e3", "harmonic:", "geometric:0.5:x",
+                                      "geometric:half:10"])
+    def test_parse_names_a_malformed_field(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_spectrum(text)
+        assert str(info.value) == f"spectrum {text!r} must read harmonic:N or geometric:r:N"
+
     def test_generated_length_is_bounded(self):
         # Refused before the 10^7 + 1 values are allocated.
         message = "spectrum length must be at most 10000000, got 10000001"
@@ -136,7 +144,7 @@ class TestSpectrumSequence:
             parse_spectrum(str(path))
 
     def test_file_is_read_in_chunks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(schaudermat.selection, "_CHUNK", 2)
+        monkeypatch.setattr(schaudermat.textio, "_CHUNK_CELLS", 2)
         path = tmp_path / "s.txt"
         path.write_text("1\n# note\n0.5\n0.25\n\n0.125\n0.0625\n")
         assert parse_spectrum(str(path)).values.tolist() == [1, 0.5, 0.25, 0.125, 0.0625]

@@ -257,9 +257,9 @@ def assert_written_as_reference(path, m):
 
 @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
 def test_row_counts_around_a_chunk_boundary(tmp_path, extra):
-    # 64 columns: a chunk holds _SAVE_CELLS // 64 rows, so the last chunk is one row
+    # 64 columns: a chunk holds _CHUNK_CELLS // 64 rows, so the last chunk is one row
     # short of full, full, or a single row.
-    rows = textio._SAVE_CELLS // 64 + extra
+    rows = textio._CHUNK_CELLS // 64 + extra
     rng = np.random.default_rng(31)
     m = np.round(rng.standard_normal((rows, 64)), 1)  # few distinct values
     m[rng.random(m.shape) < 0.9] = 0.0
@@ -271,7 +271,7 @@ def test_row_counts_around_a_chunk_boundary(tmp_path, extra):
 @pytest.mark.parametrize("rows", [1, 3])
 def test_rows_wider_than_a_chunk(tmp_path, rows):
     rng = np.random.default_rng(37)
-    m = rng.standard_normal((rows, textio._SAVE_CELLS + 5))
+    m = rng.standard_normal((rows, textio._CHUNK_CELLS + 5))
     m[:, ::3] = 0.0
     m[:, 1::7] = -0.0
     m[0, -1] = 2.5  # repeated values and distinct ones, up to the last cell
